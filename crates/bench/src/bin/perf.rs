@@ -2,13 +2,12 @@
 //!
 //! Times every named workload under the no-integration baseline and the
 //! full-integration configuration (the two ends of the fig4 sweep) with
-//! `std::time::Instant` (the vendored criterion is a smoke-test stub)
-//! and reports **simulated KIPS** — thousands of retired instructions
-//! per wall-clock second. Results are written as a machine-readable
-//! JSON perf record (default `BENCH_3.json`) so every PR can extend the
-//! repo's performance trajectory; pass a previous record as
-//! `--baseline` to get per-cell and geometric-mean speedups embedded in
-//! the new record.
+//! `std::time::Instant` and reports **simulated KIPS** — thousands of
+//! retired instructions per wall-clock second. Results are written as a
+//! machine-readable JSON perf record (default `BENCH_3.json`) so every
+//! PR can extend the repo's performance trajectory; pass a previous
+//! record as `--baseline` to get per-cell and geometric-mean speedups
+//! embedded in the new record.
 //!
 //! ```text
 //! perf [harness flags] [--workloads a,b,c] [--repeat K] [--out FILE] [--baseline FILE]

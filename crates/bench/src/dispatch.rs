@@ -32,43 +32,50 @@
 //! is why [`crate::Trial::to_json`] — and therefore every result
 //! document — deliberately excludes it.
 //!
-//! ## Multi-host (`--listen` / `exp serve` + `exp worker --connect`)
+//! ## Peers (`--workers N`, `--listen ADDR`)
 //!
-//! With `--listen ADDR` the coordinator spawns nothing: it binds a TCP
-//! listener and serves the *whole* grid to remote workers over
-//! `rix-dispatch/2` ([`rix_dispatch::net`]), heartbeats and all. Served
-//! runs do not prefilter against the cache — every cell ships with its
-//! key and the workers run the cache dance over the wire, so diskless
-//! remote hosts still dedup against the coordinator's local cache.
-//! Cells the network cannot finish (retry budgets spent, or all remote
-//! capacity lost past the grace period) **degrade** to in-process
-//! execution here, so a distributed sweep completes with a slower tail
-//! rather than failing; the degradation is visible in the
-//! [`DispatchReport`]. Merged trials stay byte-identical to a
-//! single-process run under any fault history.
+//! Every run takes one path: consult the cache, send the misses to
+//! nobody (`workers == 0`), to `N` spawned worker processes
+//! ([`rix_dispatch::dispatch_cells`]) or to remote workers connecting
+//! on a TCP listener ([`rix_dispatch::serve_cells`]: `exp serve` + `exp
+//! worker --connect`, heartbeats and all), then finish whatever comes
+//! back unfinished in this process with the same `CellRunner`, and
+//! store every fresh result in the cache. The in-process run is simply
+//! the case where every miss comes back unfinished. A served run binds
+//! its listener (and announces it on stderr as `dispatch: listening on
+//! …`) before the cache lookup, so whoever waits for that line sees it
+//! even when every cell hits. Remote workers need no disk: they only
+//! ever see misses, and their results are stored here. Cells the
+//! network cannot finish (retry budgets spent, or all remote capacity
+//! lost past the grace period) **degrade** to in-process execution, so
+//! a distributed sweep completes with a slower tail rather than
+//! failing; the degradation is visible in the [`DispatchReport`].
+//! Merged trials stay byte-identical to a single-process run under any
+//! fault history.
 //!
 //! ## Fault injection (tests)
 //!
-//! `RIX_DISPATCH_FAULT=abort:K` makes worker `K` abort before running
-//! its first cell; `stall:K` makes it hang (exercising the per-cell
-//! deadline, tunable via `RIX_DISPATCH_TIMEOUT_SECS`; the retry budget
-//! via `RIX_DISPATCH_RETRIES`). TCP workers additionally honour the
-//! network-level specs `net-drop:N[:repeat]` / `net-stall:N` /
-//! `net-exit:N` (see [`rix_dispatch::transport::NetFault`]), and their
+//! Workers honour `RIX_DISPATCH_FAULT` ([`rix_dispatch::Fault`]):
+//! `abort:K` makes worker `K` abort before running its first cell,
+//! `stall:K` makes it hang (exercising the per-cell deadline, tunable
+//! via `RIX_DISPATCH_TIMEOUT_SECS`; the retry budget via
+//! `RIX_DISPATCH_RETRIES`), and `net-drop:N[:repeat]` / `net-stall:N` /
+//! `net-exit:N` fire at a worker's `N`th actionable frame. The remote
 //! reconnect schedule is tunable via `RIX_DISPATCH_BACKOFF_MS` /
 //! `RIX_DISPATCH_BACKOFF_ATTEMPTS`; the served coordinator reads
 //! `RIX_DISPATCH_HEARTBEAT_MS`, `RIX_DISPATCH_QUARANTINE` and
 //! `RIX_DISPATCH_WAIT_SECS`. The variables only affect the processes
-//! they are set for (spawned stdio workers inherit the coordinator's
+//! they are set for (spawned workers inherit the coordinator's
 //! environment; remote workers have their own).
 
 use crate::{measure_cell, Harness, Sweep, Trial, WarmupMode};
-use rix_dispatch::{ResultCache, WorkerStat, WORKER_ARG};
+use rix_dispatch::{PoolError, PoolSummary, ResultCache, WorkerStat, WORKER_ARG};
 use rix_isa::interp::Interp;
 use rix_isa::json::Json;
 use rix_isa::{ArchState, Program};
 use rix_sim::{Checkpoint, RunResult, SimConfig, StopWhen};
 use rix_workloads::Benchmark;
+use std::net::TcpListener;
 use std::time::Duration;
 
 /// The plan document schema shipped to workers.
@@ -224,19 +231,6 @@ impl DispatchReport {
     /// re-parse tables.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let workers = self
-            .workers
-            .iter()
-            .map(|w| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(w.name.clone())),
-                    ("state".into(), Json::Str(w.state().into())),
-                    ("cells_completed".into(), Json::Num(w.cells_completed.to_string())),
-                    ("failures".into(), Json::Num(w.failures.to_string())),
-                    ("reconnects".into(), Json::Num(w.reconnects.to_string())),
-                ])
-            })
-            .collect();
         Json::Obj(vec![
             ("cells".into(), Json::Num(self.cells.to_string())),
             ("simulated".into(), Json::Num(self.simulated.to_string())),
@@ -246,7 +240,10 @@ impl DispatchReport {
             ("retries".into(), Json::Num(self.retries.to_string())),
             ("degraded".into(), Json::Num(self.degraded.to_string())),
             ("quarantined".into(), Json::Num(self.quarantined.to_string())),
-            ("workers".into(), Json::Arr(workers)),
+            (
+                "workers".into(),
+                Json::Arr(self.workers.iter().map(WorkerStat::to_json).collect()),
+            ),
         ])
     }
 
@@ -554,22 +551,19 @@ fn cell_descriptor(
 
 // ----- the coordinator --------------------------------------------------
 
-/// Runs `sweep` under `opts`: consult the cache, simulate the misses
-/// (in worker processes, or in-process when `opts.workers == 0`), store
-/// fresh results back, and return the full trial grid in
+/// Runs `sweep` under `opts`: consult the cache, [`simulate`] the
+/// misses, store fresh results back, and return the full trial grid in
 /// [`Sweep::try_run`] order. See the [module docs](self).
 pub(crate) fn run_sweep_distributed(
     sweep: &Sweep,
     opts: &DispatchOptions,
 ) -> Result<(Vec<Trial>, DispatchReport), String> {
-    if let Some(addr) = &opts.listen {
-        if opts.workers > 0 {
-            return Err("--listen and --workers are mutually exclusive".to_string());
-        }
-        return run_sweep_served(sweep, opts, addr);
+    if opts.listen.is_some() && opts.workers > 0 {
+        return Err("--listen and --workers are mutually exclusive".to_string());
     }
     sweep.validate()?;
     sweep.validate_checkpoint_files()?;
+    let listener = opts.listen.as_deref().map(listen).transpose()?;
     let narms = sweep.configs.len();
     let total = sweep.benchmarks.len() * narms;
     let cache = opts.cache.as_ref().map(ResultCache::open).transpose()?;
@@ -598,55 +592,20 @@ pub(crate) fn run_sweep_distributed(
         }
         misses.push(i as u64);
     }
-    emit_progress(CellProgress { total, done: hits, cached: hits, degraded: 0 });
+    let progress = CellProgress { total, done: hits, cached: hits, degraded: 0 };
+    emit_progress(progress);
 
-    let simulated = misses.len();
-    let mut pool_summary = rix_dispatch::PoolSummary::default();
-    if !misses.is_empty() {
-        let plan = plan_json(sweep);
-        let payloads: Vec<Json> = if opts.workers == 0 {
-            // In-process execution still goes through the plan's JSON
-            // round trip, so the single code path is the one the
-            // process boundary exercises.
-            let mut runner = CellRunner::new(
-                plan_from_json(&plan).map_err(|e| format!("internal dispatch plan: {e}"))?,
-            );
-            let mut payloads = Vec::with_capacity(misses.len());
-            for &cell in &misses {
-                let (result, wall) = runner.run(cell)?;
-                payloads.push(payload_json(&result, wall)?);
-                emit_progress(CellProgress {
-                    total,
-                    done: hits + payloads.len(),
-                    cached: hits,
-                    degraded: 0,
-                });
-            }
-            payloads
-        } else {
-            let pool = rix_dispatch::PoolConfig {
-                workers: opts.workers,
-                cell_timeout: opts.cell_timeout,
-                retries: opts.retries,
-                worker_cmd: None,
-            };
-            let (payloads, summary) = rix_dispatch::dispatch_cells(&plan, &misses, &pool)
-                .map_err(|e| describe_pool_error(e, sweep, narms))?;
-            pool_summary = summary;
-            emit_progress(CellProgress { total, done: total, cached: hits, degraded: 0 });
-            payloads
-        };
-        for (&cell, payload) in misses.iter().zip(&payloads) {
-            let i = cell as usize;
-            let (bi, ai) = (i / narms, i % narms);
-            let trial =
-                trial_from_payload(sweep.benchmarks[bi].name, &sweep.configs[ai].0, payload)?;
-            if let (Some(cache), Some(key)) = (&cache, &keys[i]) {
-                let entry = Json::Obj(vec![("result".into(), payload.req("result")?.clone())]);
-                cache.store(key, &entry)?;
-            }
-            trials[i] = Some(trial);
+    let (payloads, summary) = simulate(sweep, opts, listener, &misses, progress)?;
+    for (&cell, payload) in misses.iter().zip(&payloads) {
+        let i = cell as usize;
+        let (bi, ai) = (i / narms, i % narms);
+        if let (Some(cache), Some(key)) = (&cache, &keys[i]) {
+            // Host timing is not content: entries carry no wall clock.
+            let entry = Json::Obj(vec![("result".into(), payload.req("result")?.clone())]);
+            cache.store(key, &entry)?;
         }
+        trials[i] =
+            Some(trial_from_payload(sweep.benchmarks[bi].name, &sweep.configs[ai].0, payload)?);
     }
 
     let trials = trials
@@ -657,16 +616,115 @@ pub(crate) fn run_sweep_distributed(
         trials,
         DispatchReport {
             cells: total,
-            simulated,
+            simulated: misses.len(),
             cache_hits: hits,
-            workers_spawned: pool_summary.workers_spawned,
-            workers_lost: pool_summary.workers_lost,
-            retries: pool_summary.retries,
-            degraded: pool_summary.degraded_cells,
-            quarantined: pool_summary.quarantined,
-            workers: pool_summary.workers,
+            workers_spawned: summary.workers_spawned,
+            workers_lost: summary.workers_lost,
+            retries: summary.retries,
+            degraded: summary.degraded_cells,
+            quarantined: summary.quarantined,
+            workers: summary.workers,
         },
     ))
+}
+
+/// Binds a served run's listener and announces its address.
+fn listen(addr: &str) -> Result<TcpListener, String> {
+    let listener =
+        TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| format!("cannot resolve listen address: {e}"))?;
+    eprintln!("dispatch: listening on {local}");
+    Ok(listener)
+}
+
+/// Simulates `misses`: sends them to the run's peers — remote workers
+/// on `listener`, `opts.workers` spawned processes, or nobody — then
+/// finishes whatever comes back unfinished in this process, through
+/// the same plan round trip the process boundary exercises. One payload
+/// per miss, in order.
+fn simulate(
+    sweep: &Sweep,
+    opts: &DispatchOptions,
+    listener: Option<TcpListener>,
+    misses: &[u64],
+    mut progress: CellProgress,
+) -> Result<(Vec<Json>, PoolSummary), String> {
+    if misses.is_empty() {
+        return Ok((Vec::new(), PoolSummary::default()));
+    }
+    // A failing cell is named in grid terms — `gcc/base (seed 7)`, not
+    // `cell 0` — so a spent retry budget says which arm to investigate.
+    let describe = |e: PoolError| {
+        let narms = sweep.configs.len();
+        e.with_cell_description(|cell| {
+            let i = usize::try_from(cell).ok()?;
+            let bench = sweep.benchmarks.get(i / narms)?;
+            let (label, _) = sweep.configs.get(i % narms)?;
+            Some(format!("{}/{} (seed {})", bench.name, label, sweep.seed))
+        })
+        .to_string()
+    };
+    let plan = plan_json(sweep);
+    let (payloads, summary) = if let Some(listener) = listener {
+        let cfg = rix_dispatch::NetPoolConfig {
+            cell_timeout: opts.cell_timeout,
+            retries: opts.retries,
+            heartbeat: opts.heartbeat,
+            quarantine_after: opts.quarantine_after,
+            worker_wait: opts.worker_wait,
+            token: opts.token.clone(),
+        };
+        let out = rix_dispatch::serve_cells(listener, &plan, misses, &cfg).map_err(describe)?;
+        (out.payloads, out.summary)
+    } else if opts.workers > 0 {
+        let pool = rix_dispatch::PoolConfig {
+            workers: opts.workers,
+            cell_timeout: opts.cell_timeout,
+            retries: opts.retries,
+            worker_cmd: None,
+        };
+        let (payloads, summary) =
+            rix_dispatch::dispatch_cells(&plan, misses, &pool).map_err(describe)?;
+        (payloads.into_iter().map(Some).collect(), summary)
+    } else {
+        (vec![None; misses.len()], PoolSummary::default())
+    };
+
+    let remote = opts.workers > 0 || opts.listen.is_some();
+    let unfinished = payloads.iter().filter(|p| p.is_none()).count();
+    if unfinished < misses.len() {
+        progress.done += misses.len() - unfinished;
+        emit_progress(progress);
+    }
+    if remote && unfinished > 0 {
+        eprintln!("dispatch: finishing {unfinished} degraded cell(s) in-process");
+    }
+    let mut runner: Option<CellRunner> = None;
+    let payloads = misses
+        .iter()
+        .zip(payloads)
+        .map(|(&cell, payload)| {
+            if let Some(payload) = payload {
+                return Ok(payload);
+            }
+            if runner.is_none() {
+                let plan =
+                    plan_from_json(&plan).map_err(|e| format!("internal dispatch plan: {e}"))?;
+                runner = Some(CellRunner::new(plan));
+            }
+            let runner = runner.as_mut().ok_or("runner just initialised")?;
+            let (result, wall) = runner.run(cell)?;
+            progress.done += 1;
+            if remote {
+                progress.degraded += 1;
+            }
+            emit_progress(progress);
+            payload_json(&result, wall)
+        })
+        .collect::<Result<Vec<Json>, String>>()?;
+    Ok((payloads, summary))
 }
 
 /// Under checkpoint warm-up with a cache, each snapshot file's content
@@ -690,157 +748,6 @@ fn checkpoint_hashes(sweep: &Sweep, caching: bool) -> Result<Vec<Option<String>>
     }
 }
 
-/// Renders a pool error with the failing cell named in grid terms —
-/// `gcc/integration (seed 7)`, not `cell 5` — plus the cell's fault
-/// history, so a retry-budget exhaustion tells the user exactly which
-/// benchmark/arm to investigate.
-fn describe_pool_error(e: rix_dispatch::PoolError, sweep: &Sweep, narms: usize) -> String {
-    e.with_cell_description(|cell| {
-        let i = usize::try_from(cell).ok()?;
-        let bench = sweep.benchmarks.get(i / narms)?;
-        let (label, _) = sweep.configs.get(i % narms)?;
-        Some(format!("{}/{} (seed {})", bench.name, label, sweep.seed))
-    })
-    .to_string()
-}
-
-/// A served (TCP) run: bind the listener, hand the whole grid to
-/// [`rix_dispatch::serve_cells`] — no cache prefilter; keyed cells let
-/// remote workers run the cache dance against our local cache — and
-/// finish whatever degraded back to us in-process. See the
-/// [module docs](self).
-fn run_sweep_served(
-    sweep: &Sweep,
-    opts: &DispatchOptions,
-    addr: &str,
-) -> Result<(Vec<Trial>, DispatchReport), String> {
-    sweep.validate()?;
-    sweep.validate_checkpoint_files()?;
-    let narms = sweep.configs.len();
-    let total = sweep.benchmarks.len() * narms;
-    let cache = opts.cache.as_ref().map(ResultCache::open).transpose()?;
-    let ckpt_hashes = checkpoint_hashes(sweep, cache.is_some())?;
-    let keys: Option<Vec<String>> = if cache.is_some() {
-        let mut keys = Vec::with_capacity(total);
-        for i in 0..total {
-            let (bi, ai) = (i / narms, i % narms);
-            let (label, cfg) = &sweep.configs[ai];
-            let desc = cell_descriptor(
-                sweep,
-                &sweep.benchmarks[bi],
-                label,
-                cfg,
-                ckpt_hashes[bi].as_deref(),
-            )?;
-            keys.push(ResultCache::key(&desc));
-        }
-        Some(keys)
-    } else {
-        None
-    };
-
-    let listener = std::net::TcpListener::bind(addr)
-        .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve listen address: {e}"))?;
-    eprintln!("dispatch: listening on {local}");
-
-    let cfg = rix_dispatch::NetPoolConfig {
-        cell_timeout: opts.cell_timeout,
-        retries: opts.retries,
-        heartbeat: opts.heartbeat,
-        quarantine_after: opts.quarantine_after,
-        worker_wait: opts.worker_wait,
-        token: opts.token.clone(),
-    };
-    let plan = plan_json(sweep);
-    let cells: Vec<u64> = (0..total as u64).collect();
-    let outcome =
-        rix_dispatch::serve_cells(listener, &plan, &cells, keys.as_deref(), cache.as_ref(), &cfg)
-            .map_err(|e| describe_pool_error(e, sweep, narms))?;
-    let summary = outcome.summary;
-    let mut hits = usize::try_from(summary.cache_hits).unwrap_or(usize::MAX);
-
-    let mut trials: Vec<Option<Trial>> = (0..total).map(|_| None).collect();
-    for (i, payload) in outcome.payloads.iter().enumerate() {
-        if let Some(payload) = payload {
-            let (bi, ai) = (i / narms, i % narms);
-            trials[i] = Some(trial_from_payload(
-                sweep.benchmarks[bi].name,
-                &sweep.configs[ai].0,
-                payload,
-            )?);
-        }
-    }
-    let mut progress = CellProgress {
-        total,
-        done: total - outcome.unfinished.len(),
-        cached: hits,
-        degraded: 0,
-    };
-    emit_progress(progress);
-
-    // Graceful degradation: whatever the network could not finish runs
-    // here, through the same plan round trip as every other path.
-    if !outcome.unfinished.is_empty() {
-        eprintln!(
-            "dispatch: finishing {} degraded cell(s) in-process",
-            outcome.unfinished.len()
-        );
-        let mut runner = CellRunner::new(
-            plan_from_json(&plan).map_err(|e| format!("internal dispatch plan: {e}"))?,
-        );
-        for &i in &outcome.unfinished {
-            let (bi, ai) = (i / narms, i % narms);
-            let (bench, label) = (sweep.benchmarks[bi].name, &sweep.configs[ai].0);
-            let key = keys.as_ref().map(|k| k[i].as_str());
-            if let (Some(cache), Some(key)) = (&cache, key) {
-                let hit = cache
-                    .load(key)
-                    .and_then(|payload| trial_from_payload(bench, label, &payload).ok());
-                if let Some(trial) = hit {
-                    trials[i] = Some(trial);
-                    hits += 1;
-                    progress.done += 1;
-                    progress.cached += 1;
-                    emit_progress(progress);
-                    continue;
-                }
-            }
-            let (result, wall) = runner.run(i as u64)?;
-            let payload = payload_json(&result, wall)?;
-            if let (Some(cache), Some(key)) = (&cache, key) {
-                let entry = Json::Obj(vec![("result".into(), payload.req("result")?.clone())]);
-                cache.store(key, &entry)?;
-            }
-            trials[i] = Some(trial_from_payload(bench, label, &payload)?);
-            progress.done += 1;
-            progress.degraded += 1;
-            emit_progress(progress);
-        }
-    }
-
-    let trials = trials
-        .into_iter()
-        .map(|t| t.ok_or_else(|| "internal: unfilled trial slot".to_string()))
-        .collect::<Result<Vec<Trial>, String>>()?;
-    Ok((
-        trials,
-        DispatchReport {
-            cells: total,
-            simulated: total - hits,
-            cache_hits: hits,
-            workers_spawned: summary.workers_spawned,
-            workers_lost: summary.workers_lost,
-            retries: summary.retries,
-            degraded: summary.degraded_cells,
-            quarantined: summary.quarantined,
-            workers: summary.workers,
-        },
-    ))
-}
-
 // ----- the worker entry points ------------------------------------------
 
 /// The first line of every binary that can be dispatched to: when the
@@ -859,18 +766,7 @@ pub fn maybe_worker() {
 /// the first cell, executes every assigned cell via the shared
 /// [`measure_cell`] path, and reports lossless results.
 pub fn worker_main() -> ! {
-    let mut state: Option<(u64, CellRunner)> = None;
-    rix_dispatch::serve(move |init, cell| {
-        if state.is_none() {
-            let worker = init.req_u64("worker")?;
-            let plan = plan_from_json(init.req("plan")?)?;
-            state = Some((worker, CellRunner::new(plan)));
-        }
-        let (worker, runner) = state.as_mut().ok_or("worker state just initialised")?;
-        inject_fault(*worker);
-        let (result, wall) = runner.run(cell)?;
-        payload_json(&result, wall)
-    })
+    rix_dispatch::serve(cell_executor())
 }
 
 /// The remote worker entry point (`exp worker --connect ADDR`):
@@ -881,25 +777,23 @@ pub fn worker_main() -> ! {
 /// quarantined.
 pub fn worker_connect_main(addr: &str, name: Option<&str>) -> ! {
     let name = name.map_or_else(default_worker_name, str::to_string);
-    let backoff = backoff_from_env();
-    let mut state: Option<(u64, CellRunner)> = None;
-    let code = rix_dispatch::connect_worker(addr, &name, &backoff, move |init, cell| {
-        if state.is_none() {
-            let worker = init.req_u64("worker")?;
-            let plan = plan_from_json(init.req("plan")?)?;
-            state = Some((worker, CellRunner::new(plan)));
-        }
-        let (worker, runner) = state.as_mut().ok_or("worker state just initialised")?;
-        inject_fault(*worker);
-        let (result, _wall) = runner.run(cell)?;
-        // No wall clock in remote payloads: the coordinator writes
-        // cache entries straight from them, and host timing is not
-        // content — a cell simulated remotely must produce the same
-        // bytes as one simulated anywhere else.
-        let r = Json::parse(&rix_sim::checkpoint::result_to_json(&result))?;
-        Ok(Json::Obj(vec![("result".into(), r)]))
-    });
+    let code = rix_dispatch::connect_worker(addr, &name, &backoff_from_env(), cell_executor());
     std::process::exit(code)
+}
+
+/// The executor both worker entry points run: builds a [`CellRunner`]
+/// from the plan in `init` on the first cell, then runs each assigned
+/// cell into a result payload.
+fn cell_executor() -> impl FnMut(&Json, u64) -> Result<Json, String> {
+    let mut runner: Option<CellRunner> = None;
+    move |init, cell| {
+        if runner.is_none() {
+            runner = Some(CellRunner::new(plan_from_json(init.req("plan")?)?));
+        }
+        let runner = runner.as_mut().ok_or("runner just initialised")?;
+        let (result, wall) = runner.run(cell)?;
+        payload_json(&result, wall)
+    }
 }
 
 /// The default hello name for a remote worker: `w{pid}`, unique enough
@@ -924,26 +818,6 @@ fn backoff_from_env() -> rix_dispatch::Backoff {
         b.max_attempts = u32::try_from(n).unwrap_or(u32::MAX);
     }
     b
-}
-
-/// Test-only fault injection, keyed by worker id so tests are
-/// deterministic about *which* process dies (see the module docs).
-fn inject_fault(worker: u64) {
-    let Ok(spec) = std::env::var("RIX_DISPATCH_FAULT") else { return };
-    let matches = |id: &str| id.parse() == Ok(worker);
-    match spec.split_once(':') {
-        Some(("abort", id)) if matches(id) => {
-            eprintln!("rix worker {worker}: injected abort (RIX_DISPATCH_FAULT={spec})");
-            std::process::abort();
-        }
-        Some(("stall", id)) if matches(id) => {
-            eprintln!("rix worker {worker}: injected stall (RIX_DISPATCH_FAULT={spec})");
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]

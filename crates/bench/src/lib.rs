@@ -34,10 +34,6 @@
 //! Config grids are declared as a [`ParamSpace`] (named [`Axis`] values
 //! over config fields, crossed/zipped/chained), and whole experiments
 //! as serializable [`ExperimentSpec`] documents.
-//!
-//! The Criterion benches (`cargo bench -p rix-bench`) measure the
-//! simulator's own throughput per subsystem and end-to-end, so
-//! performance regressions in the simulator itself are visible.
 
 pub mod dispatch;
 pub mod service;
@@ -507,11 +503,9 @@ pub fn result_doc(
     }
     format!(
         "{{\n  \"schema\":\"rix-exp-result/1\",\n  \"name\":{},\n  \
-         \"spec_fingerprint\":\"{}\",\n  \"spec_fingerprint_fnv64\":\"{:#018x}\",\n  \
-         \"spec\":{},{sections}\n  \"trials\":{}\n}}",
+         \"spec_fingerprint\":\"{}\",\n  \"spec\":{},{sections}\n  \"trials\":{}\n}}",
         spec.name.as_ref().map_or_else(|| "null".to_string(), |n| Json::Str(n.clone()).dump()),
         spec.fingerprint_hex(),
-        spec.fingerprint(),
         spec.to_json(),
         trials_json(trials),
     )

@@ -12,7 +12,8 @@
 //! healthy peer), reconnect after a dropped connection, half-open
 //! stall detection via heartbeat liveness, quarantine of a repeat
 //! offender, graceful degradation with no workers at all, the remote
-//! cache dance, and `exp workers --status`. Network faults are injected
+//! cache dance, a warm served run that needs no worker, and `exp
+//! workers --status`. Network faults are injected
 //! with `RIX_DISPATCH_FAULT=net-{exit,drop,stall}:N` in the *worker's*
 //! environment — the coordinator's own environment carries the budget
 //! knobs (`RIX_DISPATCH_{HEARTBEAT_MS,QUARANTINE,WAIT_SECS,RETRIES}`).
@@ -558,6 +559,26 @@ fn remote_cache_dance_round_trips_over_the_wire() {
     let local = run_json(&["--cache", cache], &[], &spec);
     assert_eq!(cache_counts(&local), (4, 0), "stdio and TCP share entries");
     assert_eq!(trials_of(&cold), trials_of(&local));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_served_run_finishes_with_no_worker_connected() {
+    let dir = scratch("tcp-warm");
+    let spec = write_spec(&dir, SPEC);
+    let cache = dir.join("cache");
+    let cache = cache.to_str().expect("utf-8");
+    let cold = run_json(&["--cache", cache], &[], &spec);
+    assert_eq!(cache_counts(&cold), (0, 4));
+
+    // Every cell hits before a worker is needed, so the run must not
+    // wait out the (long) zero-capacity grace period or degrade.
+    let serve = spawn_serve(&spec, &["--cache", cache], &[("RIX_DISPATCH_WAIT_SECS", "30")]);
+    let (warm, stderr, ok) = serve.finish();
+    assert!(ok, "{stderr}");
+    assert_eq!(cache_counts(&warm), (4, 0), "warm served run is all hits");
+    assert_eq!(trials_of(&cold), trials_of(&warm), "reused trials are byte-identical");
+    assert!(!stderr.contains("degraded"), "nothing degraded:\n{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

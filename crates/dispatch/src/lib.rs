@@ -1,52 +1,50 @@
 //! # rix-dispatch: multi-process and multi-host experiment dispatch
 //!
-//! The experiment layer's service tier: a [`pool`] coordinator that
-//! shards independent grid cells across **worker processes** over
-//! stdio, a [`net`] coordinator that does the same across **remote
-//! workers** over TCP, the [`worker`] serve loop those workers run, a
-//! [`transport`] abstraction both share, and a content-addressed
-//! result [`cache`] so a re-run only simulates what changed.
+//! The experiment layer's service tier: one coordinator ([`pool`]) that
+//! shards independent grid cells across workers, fed by one of two
+//! peer sources — **worker processes** it spawns and talks to over
+//! stdio ([`dispatch_cells`]), or **remote workers** it accepts over
+//! TCP ([`serve_cells`], in [`net`]). Workers run the one [`worker`]
+//! serve loop over either channel; a [`transport`] abstraction frames
+//! both, and a content-addressed result [`cache`] lets callers re-run
+//! only what changed.
 //!
 //! The crate is deliberately generic — it knows nothing about
 //! simulators, benchmarks or sweeps. A *plan* is an opaque JSON value
 //! the caller serialises, a *cell* is a `u64` index into work only the
 //! caller can interpret, and a *payload* is whatever JSON the worker's
 //! executor returns for a cell. `rix-bench` layers the (benchmark ×
-//! config) grid semantics on top; anything else with independent,
-//! deterministic, numberable work units can reuse the same pool.
+//! config) grid semantics and the cache lookups on top; anything else
+//! with independent, deterministic, numberable work units can reuse
+//! the same coordinator.
 //!
 //! ## Protocol (`rix-dispatch/2`, superset of `/1`)
 //!
 //! Newline-delimited JSON frames. Over stdio the channel is the
 //! worker's stdin/stdout (stderr passes through to the coordinator's,
 //! so worker diagnostics stay visible); over TCP it is one socket per
-//! worker connection. The `/1` core:
+//! worker connection. Every session:
 //!
 //! ```text
 //! coordinator → worker   {"schema":"rix-dispatch/2","type":"init","worker":0,
-//!                         "heartbeat_ms":2000,"cache":true,"plan":{…}}
-//! coordinator → worker   {"type":"cell","cell":5,"key":"<cache key>"}
+//!                         "heartbeat_ms":2000,"plan":{…}}
+//! coordinator → worker   {"type":"cell","cell":5}
 //! worker → coordinator   {"type":"result","cell":5,"payload":{…}}
 //! worker → coordinator   {"type":"error","cell":5,"message":"…"}
+//! coordinator → worker   {"type":"shutdown"}
 //! ```
 //!
-//! and the `/2` extensions (all absent over plain stdio dispatch, which
-//! sends `heartbeat_ms:0`, `cache:false` and keyless cells):
+//! and over TCP only:
 //!
 //! ```text
 //! worker → coordinator   {"schema":"rix-dispatch/2","type":"hello",
 //!                         "name":"w4242","role":"worker","token":"…"}
 //! either direction       {"type":"ping","n":7}
-//! worker → coordinator   {"type":"cache_load","key":"…"}
-//! coordinator → worker   {"type":"cache_hit","key":"…","payload":{…}}
-//! coordinator → worker   {"type":"cache_miss","key":"…"}
-//! worker → coordinator   {"type":"cache_store","key":"…","payload":{…}}
-//! worker → coordinator   {"type":"result","cell":5,"cached":true,"payload":{…}}
-//! coordinator → worker   {"type":"shutdown"}
 //! coordinator → worker   {"type":"quarantine"}
 //! ```
 //!
-//! A TCP connection opens with the worker's `hello` (a `"role":"status"`
+//! Spawned workers are sent `heartbeat_ms:0` and never pinged. A TCP
+//! connection opens with the worker's `hello` (a `"role":"status"`
 //! hello instead receives one `rix-dispatch-status/1` document and is
 //! closed — that is how `exp workers --status` works). When the
 //! coordinator was started with a shared secret (`--token` /
@@ -57,58 +55,47 @@
 //! answers with `init`, then one `cell` at a time per worker (every
 //! worker stays single-occupied, so a slow cell never queues behind a
 //! fast one). Any received frame proves the peer alive; `ping` frames
-//! exist so that proof keeps arriving while a long cell runs. `init`
-//! with `"cache":true` tells the worker to run the cache dance for
-//! keyed cells: `cache_load` before executing (a `cache_hit` payload is
-//! returned as a `"cached":true` result without executing), and
-//! `cache_store` after a miss — the coordinator serves both from its
-//! local [`cache::ResultCache`], so diskless remote hosts still dedup.
-//! `shutdown` ends a worker cleanly (exit 0); `quarantine` tells a peer
-//! the coordinator gave up on it (exit 3).
+//! exist so that proof keeps arriving while a long cell runs.
+//! `shutdown` ends a worker cleanly (exit 0; over stdio, closing stdin
+//! does too); `quarantine` tells a peer the coordinator gave up on it
+//! (exit 3). No cache traffic crosses the wire: callers consult their
+//! cache before dispatching, so workers only ever see misses.
 //!
-//! Workers accept `/1` or `/2` in `init`; every frame a `/1`
-//! coordinator sends is valid `/2`.
+//! Workers accept `/1` or `/2` in `init`.
 //!
 //! ## Fault model
 //!
-//! Shared (both transports):
+//! Both peer sources:
 //!
-//! * worker death (crash, abort, kill — EOF on the channel) →
-//!   in-flight cell retried elsewhere, bounded per-cell retry budget;
+//! * worker death (crash, abort, kill, disconnect — EOF on the channel)
+//!   → in-flight cell retried elsewhere, bounded per-cell retry budget;
 //! * worker hang → per-cell deadline, kill/disconnect, retry;
 //! * deterministic executor `error` → **fatal** to the whole run, no
 //!   retry: cells are deterministic, so an error one worker can report
 //!   is an error every retry would hit too.
 //!
-//! stdio only:
+//! Where the sources differ, the source decides:
 //!
-//! * all workers dead with work remaining → the run fails with a
-//!   descriptive error (workers are not respawned — a workload that
-//!   kills every process it touches is a bug to report, not mask).
+//! * spawned workers: no peer can arrive later, so all workers dead
+//!   with work remaining fails the run at once, and so does a spent
+//!   retry budget — with a [`PoolError`] naming the cell and its fault
+//!   history (workers are not respawned — a workload that kills every
+//!   process it touches is a bug to report, not mask);
+//! * listener: a half-open connection or partition is caught when the
+//!   peer is silent past the liveness deadline (4× the heartbeat); a
+//!   lost worker reconnects with exponential backoff + jitter under a
+//!   capped attempt budget ([`transport::Backoff`]); a peer whose
+//!   consecutive failures reach the quarantine threshold is
+//!   quarantined; and all remote capacity lost past the grace period,
+//!   or a spent retry budget, leads to **graceful degradation**: the
+//!   affected cells are handed back to the caller to finish in-process,
+//!   and the degradation is reported in [`pool::PoolSummary`].
 //!
-//! TCP only (networks add failure modes pipes cannot have):
-//!
-//! * half-open connection / partition → no frames arrive; the peer is
-//!   declared lost when silent past the liveness deadline (4× the
-//!   heartbeat interval), its in-flight cell requeued;
-//! * lost worker → reconnects with exponential backoff + jitter under
-//!   a capped attempt budget ([`transport::Backoff`]);
-//! * a peer whose consecutive failures reach the quarantine threshold
-//!   is quarantined: its connections are refused work, its cells drain
-//!   to healthy peers;
-//! * all remote capacity lost (and not recovered within the grace
-//!   period) or a cell's retry budget spent → **graceful degradation**:
-//!   the affected cells are handed back to the caller to finish
-//!   in-process, and the degradation is reported in
-//!   [`pool::PoolSummary`] — a distributed sweep completes with a
-//!   slower tail rather than failing.
-//!
-//! Fault injection for tests: `RIX_DISPATCH_FAULT` takes the legacy
-//! process-level specs (`abort:K` / `stall:K`, interpreted by the
-//! executor layer) and the network-level specs
-//! ([`transport::NetFault`]: `net-drop:N[:repeat]` / `net-stall:N` /
-//! `net-exit:N`, fired by the remote worker at its `N`th actionable
-//! frame).
+//! Fault injection for tests: `RIX_DISPATCH_FAULT` takes one vocabulary
+//! ([`worker::Fault`]), fired by the worker serve loop whatever its
+//! channel: `abort:K` / `stall:K` (worker `K`, at its first cell) and
+//! `net-drop:N[:repeat]` / `net-stall:N` / `net-exit:N` (at the `N`th
+//! actionable frame).
 //!
 //! [`hash::fnv128`] is the shared 128-bit FNV-1a used for cache keys
 //! and spec fingerprints.
@@ -123,8 +110,8 @@ pub mod worker;
 pub use cache::{CacheStats, ResultCache};
 pub use net::{connect_worker, query_status, serve_cells, NetOutcome, NetPoolConfig};
 pub use pool::{dispatch_cells, PoolConfig, PoolError, PoolSummary, WorkerStat};
-pub use transport::{Backoff, NetFault, NetFaultKind};
-pub use worker::serve;
+pub use transport::Backoff;
+pub use worker::{serve, Fault, FaultAction, FaultTrigger};
 
 /// The hidden first argument a coordinator passes when self-exec'ing a
 /// worker (`current_exe() __rix-worker`). Binaries that can act as

@@ -1,21 +1,20 @@
-//! The socket transport: a TCP coordinator ([`serve_cells`]) and the
-//! reconnecting remote worker that feeds from it ([`connect_worker`]).
+//! The listener peer source and the remote worker: a TCP coordinator
+//! ([`serve_cells`]) and the reconnecting worker that feeds from it
+//! ([`connect_worker`]).
 //!
-//! The stdio pool ([`crate::pool`]) owns its workers — it spawned them,
-//! a pipe EOF is a death certificate, and a pipe cannot go half-open.
-//! None of that holds over a network: workers arrive on their own
-//! schedule, vanish without an EOF, stall behind partitions, and come
-//! back. This module is built around those failure modes:
+//! [`serve_cells`] only sets up its peers — a listener and a reader
+//! thread per accepted connection — and hands them to the one
+//! coordinator in [`crate::pool`]. Spawned workers are owned: a pipe
+//! EOF is a death certificate and a pipe cannot go half-open. None of
+//! that holds over a network: workers arrive on their own schedule,
+//! vanish without an EOF, stall behind partitions, and come back. For
+//! listener peers the coordinator therefore adds:
 //!
 //! * **Heartbeats + liveness deadline.** Both sides send `ping` frames
 //!   every heartbeat interval; any received frame proves the peer
 //!   alive. A connection silent for 4× the heartbeat is declared lost
 //!   and its in-flight cell requeued — that is the only way to detect a
 //!   half-open TCP connection or a partition.
-//! * **Reconnect with backoff.** A worker that loses the coordinator
-//!   retries under a [`Backoff`] schedule (exponential, jittered,
-//!   capped attempt budget). The budget resets after any connection
-//!   that got as far as `init`, so a long-lived worker never ages out.
 //! * **Quarantine.** Cell losses are attributed to the named peer
 //!   (across reconnects). After `quarantine_after` *consecutive*
 //!   attributed failures the peer is quarantined: its next hello is
@@ -27,19 +26,21 @@
 //!   rather than failing the run — the caller finishes those cells
 //!   in-process and the [`PoolSummary`] records the degradation.
 //!
-//! The coordinator also serves the result cache over the wire
-//! (`cache_load` / `cache_store` answered from its local
-//! [`ResultCache`]), so remote hosts need no disk and no shared
-//! filesystem to dedup.
+//! The worker side runs the one serve loop ([`crate::worker`]) over
+//! each connection, after a `hello`. A worker that loses the
+//! coordinator reconnects under a [`Backoff`] schedule (exponential,
+//! jittered, capped attempt budget); the budget resets after any
+//! connection that got as far as `init`, so a long-lived worker never
+//! ages out.
+//!
+//! The wire carries no cache traffic: the caller consults its cache
+//! before serving, so only misses ever reach a worker and diskless
+//! remote hosts still dedup.
 
-use crate::cache::ResultCache;
-use crate::pool::{CellLedger, PoolError, PoolSummary, WorkerStat};
-use crate::transport::{
-    Backoff, FrameSink, LineSource, NetFault, NetFaultKind, NextLine, TcpSink, TcpSource,
-};
-use crate::worker::{check_init_schema, run_cell, ServeError};
+use crate::pool::{drain, Coordinator, Event, PoolError, PoolSummary, POLL};
+use crate::transport::{Backoff, FrameSink, LineSource, NextLine, TcpSink, TcpSource};
+use crate::worker::{serve_channel, Fault, SessionEnd};
 use rix_isa::json::Json;
-use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -47,8 +48,6 @@ use std::time::{Duration, Instant};
 
 /// How long a freshly-accepted connection may take to say `hello`.
 const HELLO_DEADLINE: Duration = Duration::from_secs(10);
-/// Poll granularity for socket reads and the coordinator event loop.
-const POLL: Duration = Duration::from_millis(50);
 
 /// Tuning for one [`serve_cells`] run.
 #[derive(Clone, Debug)]
@@ -101,41 +100,9 @@ pub struct NetOutcome {
     pub summary: PoolSummary,
 }
 
-enum NetEvent {
-    /// Connection `id` completed its handshake read: here is its write
-    /// half and its `hello`.
-    Hello(usize, TcpSink, Json),
-    /// One frame from connection `id`.
-    Line(usize, String),
-    /// Connection `id` closed (EOF, reset, or our own shutdown).
-    Eof(usize),
-}
-
-struct Conn {
-    name: String,
-    sink: TcpSink,
-    alive: bool,
-    /// `(position in `cells`, deadline)` of the in-flight assignment.
-    busy: Option<(usize, Instant)>,
-    last_seen: Instant,
-}
-
-#[derive(Default)]
-struct Peer {
-    connections: u64,
-    cells_completed: u64,
-    failures: u64,
-    consecutive: u32,
-    quarantined: bool,
-}
-
 /// Serves `cells` to remote workers connecting on `listener` and
 /// returns their payloads in cell order (degraded cells excepted — see
 /// [`NetOutcome`]).
-///
-/// `keys[i]` (when given, one per cell) rides along on the cell frame
-/// so workers can run the remote cache dance; `cache` is the local
-/// store that backs their `cache_load`/`cache_store` traffic.
 ///
 /// Fails only on a worker-reported `error` (deterministic, so no retry
 /// can help) — every *network* failure is retried, quarantined around,
@@ -144,19 +111,8 @@ pub fn serve_cells(
     listener: TcpListener,
     plan: &Json,
     cells: &[u64],
-    keys: Option<&[String]>,
-    cache: Option<&ResultCache>,
     cfg: &NetPoolConfig,
 ) -> Result<NetOutcome, PoolError> {
-    if let Some(keys) = keys {
-        if keys.len() != cells.len() {
-            return Err(PoolError::msg(format!(
-                "internal: {} cache keys for {} cells",
-                keys.len(),
-                cells.len()
-            )));
-        }
-    }
     if cells.is_empty() {
         return Ok(NetOutcome {
             payloads: Vec::new(),
@@ -168,75 +124,21 @@ pub fn serve_cells(
         .set_nonblocking(true)
         .map_err(|e| PoolError::msg(format!("cannot make the listener non-blocking: {e}")))?;
     let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<NetEvent>();
+    let (tx, rx) = mpsc::channel::<Event>();
     {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || accept_loop(&listener, &tx, &stop));
     }
-
-    let mut co = Coordinator {
-        cfg,
-        cache,
-        keys,
-        plan_line: plan.dump(),
-        ledger: CellLedger::new(cells),
-        summary: PoolSummary::default(),
-        unfinished: Vec::new(),
-        conns: BTreeMap::new(),
-        peers: BTreeMap::new(),
-        ping_n: 0,
-    };
-    let mut last_capacity = Instant::now();
-    let mut last_ping = Instant::now();
-
-    let out = loop {
-        if co.ledger.done + co.unfinished.len() == cells.len() {
-            break Ok(());
-        }
-        co.feed();
-        if last_ping.elapsed() >= cfg.heartbeat {
-            last_ping = Instant::now();
-            co.ping_all();
-        }
-        match rx.recv_timeout(POLL) {
-            Ok(NetEvent::Hello(id, sink, hello)) => co.handle_hello(id, sink, &hello),
-            Ok(NetEvent::Line(id, line)) => {
-                if let Err(e) = co.handle_line(id, &line) {
-                    break Err(e);
-                }
-            }
-            Ok(NetEvent::Eof(id)) => co.lose_conn(id, "lost its connection"),
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(PoolError::msg("connection event channel closed unexpectedly"));
-            }
-        }
-        co.sweep_deadlines();
-        co.sweep_liveness();
-        if co.has_capacity() {
-            last_capacity = Instant::now();
-        } else if last_capacity.elapsed() > cfg.worker_wait {
-            co.degrade_queue(&format!(
-                "no connected workers for {:.1}s",
-                cfg.worker_wait.as_secs_f64()
-            ));
-        }
-    };
+    let mut co = Coordinator::new(plan, cells, cfg.cell_timeout, cfg.retries, Some(cfg));
+    let out = co.run(&rx);
     stop.store(true, Ordering::Relaxed);
-    co.finish();
-    match out {
-        Ok(()) => {
-            let mut unfinished = co.unfinished;
-            unfinished.sort_unstable();
-            Ok(NetOutcome { payloads: co.ledger.results, unfinished, summary: co.summary })
-        }
-        Err(e) => Err(e),
-    }
+    let (payloads, unfinished, summary) = co.finish(true);
+    out.map(|()| NetOutcome { payloads, unfinished, summary })
 }
 
 /// Accepts connections until told to stop, spawning a reader thread per
 /// connection.
-fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<NetEvent>, stop: &Arc<AtomicBool>) {
+fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<Event>, stop: &Arc<AtomicBool>) {
     let mut next_id = 0usize;
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -245,9 +147,6 @@ fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<NetEvent>, stop: &Arc<A
                 next_id += 1;
                 let tx = tx.clone();
                 std::thread::spawn(move || connection_reader(id, stream, &tx));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
             }
             Err(_) => std::thread::sleep(POLL),
         }
@@ -258,7 +157,7 @@ fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<NetEvent>, stop: &Arc<A
 /// handshake `hello` first (with a deadline — a connection that never
 /// introduces itself is dropped without bothering the event loop), then
 /// every subsequent frame, then EOF.
-fn connection_reader(id: usize, stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
+fn connection_reader(id: usize, stream: TcpStream, tx: &mpsc::Sender<Event>) {
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let mut sink = TcpSink::new(write_half);
@@ -269,432 +168,20 @@ fn connection_reader(id: usize, stream: TcpStream, tx: &mpsc::Sender<NetEvent>) 
     let deadline = Instant::now() + HELLO_DEADLINE;
     let hello = loop {
         match source.next_line() {
-            Ok(NextLine::Line(line)) => break line,
+            Ok(NextLine::Line(line)) => break Json::parse(&line).ok(),
             Ok(NextLine::Idle) if Instant::now() < deadline => {}
-            _ => {
-                sink.close();
-                return;
-            }
+            _ => break None,
         }
     };
-    let Ok(hello) = Json::parse(&hello) else {
+    let sent = hello.is_some_and(|h| tx.send(Event::Hello(id, Box::new(sink.clone()), h)).is_ok());
+    if sent {
+        drain(id, &mut source, tx);
+    } else {
         sink.close();
-        return;
-    };
-    if tx.send(NetEvent::Hello(id, sink.clone(), hello)).is_err() {
-        sink.close();
-        return;
-    }
-    loop {
-        match source.next_line() {
-            Ok(NextLine::Line(line)) => {
-                if tx.send(NetEvent::Line(id, line)).is_err() {
-                    return;
-                }
-            }
-            Ok(NextLine::Idle) => {}
-            Ok(NextLine::Eof) | Err(_) => {
-                let _ = tx.send(NetEvent::Eof(id));
-                return;
-            }
-        }
-    }
-}
-
-struct Coordinator<'a> {
-    cfg: &'a NetPoolConfig,
-    cache: Option<&'a ResultCache>,
-    keys: Option<&'a [String]>,
-    plan_line: String,
-    ledger: CellLedger<'a>,
-    summary: PoolSummary,
-    unfinished: Vec<usize>,
-    conns: BTreeMap<usize, Conn>,
-    peers: BTreeMap<String, Peer>,
-    ping_n: u64,
-}
-
-impl Coordinator<'_> {
-    fn handle_hello(&mut self, id: usize, mut sink: TcpSink, hello: &Json) {
-        if check_init_schema(hello).is_err() {
-            let _ = sink.send(&format!(
-                "{{\"type\":\"error\",\"message\":{}}}",
-                Json::Str(format!(
-                    "unsupported hello schema (this coordinator speaks {})",
-                    crate::PROTOCOL_SCHEMA
-                ))
-                .dump()
-            ));
-            sink.close();
-            return;
-        }
-        if let Some(expected) = &self.cfg.token {
-            if hello.get("token").and_then(Json::as_str) != Some(expected.as_str()) {
-                let _ = sink.send(&format!(
-                    "{{\"type\":\"error\",\"message\":{}}}",
-                    Json::Str(
-                        "hello rejected: missing or mismatched token (set --token or \
-                         RIX_DISPATCH_TOKEN to this coordinator's shared secret)"
-                            .into()
-                    )
-                    .dump()
-                ));
-                sink.close();
-                return;
-            }
-        }
-        if hello.get("role").and_then(Json::as_str) == Some("status") {
-            let _ = sink.send(&self.status_doc().dump());
-            sink.close();
-            return;
-        }
-        let name = hello
-            .get("name")
-            .and_then(Json::as_str)
-            .map_or_else(|| format!("conn-{id}"), str::to_string);
-        let peer = self.peers.entry(name.clone()).or_default();
-        if peer.quarantined {
-            let _ = sink.send("{\"type\":\"quarantine\"}");
-            sink.close();
-            return;
-        }
-        peer.connections += 1;
-        let init = format!(
-            "{{\"schema\":\"{}\",\"type\":\"init\",\"worker\":{id},\"heartbeat_ms\":{},\
-             \"cache\":{},\"plan\":{}}}",
-            crate::PROTOCOL_SCHEMA,
-            self.cfg.heartbeat.as_millis(),
-            self.cache.is_some(),
-            self.plan_line
-        );
-        if sink.send(&init).is_err() {
-            sink.close();
-            return;
-        }
-        eprintln!("dispatch: worker {name} connected");
-        self.conns.insert(
-            id,
-            Conn { name, sink, alive: true, busy: None, last_seen: Instant::now() },
-        );
-    }
-
-    fn handle_line(&mut self, id: usize, line: &str) -> Result<(), PoolError> {
-        let Some(conn) = self.conns.get_mut(&id) else { return Ok(()) };
-        if !conn.alive {
-            return Ok(());
-        }
-        conn.last_seen = Instant::now();
-        let Ok(msg) = Json::parse(line) else {
-            self.lose_conn(id, "sent an unparsable frame");
-            return Ok(());
-        };
-        match msg.get("type").and_then(Json::as_str) {
-            Some("ping") => Ok(()),
-            Some("result") => {
-                let name = conn.name.clone();
-                let (Ok(cell), Ok(payload)) = (msg.req_u64("cell"), msg.req("payload")) else {
-                    self.lose_conn(id, "sent a malformed result frame");
-                    return Ok(());
-                };
-                match conn.busy {
-                    Some((pos, _)) if self.ledger.cells[pos] == cell => {
-                        let payload = payload.clone();
-                        conn.busy = None;
-                        if msg.get("cached").and_then(Json::as_bool) == Some(true) {
-                            self.summary.cache_hits += 1;
-                        }
-                        let peer = self.peers.entry(name).or_default();
-                        peer.cells_completed += 1;
-                        peer.consecutive = 0;
-                        self.ledger.complete(pos, payload);
-                    }
-                    _ => self.lose_conn(id, &format!("sent a result for unassigned cell {cell}")),
-                }
-                Ok(())
-            }
-            Some("error") => {
-                let cell = msg.get("cell").and_then(Json::as_u64);
-                let message = msg.get("message").and_then(Json::as_str).unwrap_or("(no message)");
-                Err(PoolError {
-                    cell,
-                    history: cell
-                        .and_then(|c| self.ledger.cells.iter().position(|&x| x == c))
-                        .map(|pos| self.ledger.history[pos].clone())
-                        .unwrap_or_default(),
-                    message: format!("worker {} reported: {message}", conn.name),
-                })
-            }
-            Some("cache_load") => {
-                let Some(key) = msg.get("key").and_then(Json::as_str) else {
-                    self.lose_conn(id, "sent a keyless cache_load");
-                    return Ok(());
-                };
-                let kj = Json::Str(key.to_string()).dump();
-                let reply = match self.cache.and_then(|c| c.load(key)) {
-                    Some(payload) => format!(
-                        "{{\"type\":\"cache_hit\",\"key\":{kj},\"payload\":{}}}",
-                        payload.dump()
-                    ),
-                    None => format!("{{\"type\":\"cache_miss\",\"key\":{kj}}}"),
-                };
-                if conn.sink.send(&reply).is_err() {
-                    self.lose_conn(id, "lost its connection");
-                }
-                Ok(())
-            }
-            Some("cache_store") => {
-                let (Some(key), Ok(payload)) =
-                    (msg.get("key").and_then(Json::as_str), msg.req("payload"))
-                else {
-                    self.lose_conn(id, "sent a malformed cache_store");
-                    return Ok(());
-                };
-                if let Some(cache) = self.cache {
-                    if let Err(e) = cache.store(key, payload) {
-                        eprintln!("dispatch: cache store failed (continuing): {e}");
-                    }
-                }
-                Ok(())
-            }
-            other => {
-                self.lose_conn(id, &format!("sent an unexpected {other:?} frame"));
-                Ok(())
-            }
-        }
-    }
-
-    /// Hands queued cells to every idle live connection.
-    fn feed(&mut self) {
-        let mut lost: Vec<usize> = Vec::new();
-        for (&id, conn) in &mut self.conns {
-            if !(conn.alive && conn.busy.is_none()) {
-                continue;
-            }
-            let Some(pos) = self.ledger.queue.pop_front() else { break };
-            let frame = match self.keys {
-                Some(keys) => format!(
-                    "{{\"type\":\"cell\",\"cell\":{},\"key\":{}}}",
-                    self.ledger.cells[pos],
-                    Json::Str(keys[pos].clone()).dump()
-                ),
-                None => format!("{{\"type\":\"cell\",\"cell\":{}}}", self.ledger.cells[pos]),
-            };
-            if conn.sink.send(&frame).is_ok() {
-                conn.busy = Some((pos, Instant::now() + self.cfg.cell_timeout));
-            } else {
-                // The send itself failed, so the cell never reached the
-                // worker: put it back uncharged and retire the
-                // connection (its EOF event is already in flight).
-                self.ledger.queue.push_front(pos);
-                lost.push(id);
-            }
-        }
-        for id in lost {
-            self.lose_conn(id, "lost its connection");
-        }
-    }
-
-    fn ping_all(&mut self) {
-        self.ping_n += 1;
-        let frame = format!("{{\"type\":\"ping\",\"n\":{}}}", self.ping_n);
-        let mut lost: Vec<usize> = Vec::new();
-        for (&id, conn) in &mut self.conns {
-            if conn.alive && conn.sink.send(&frame).is_err() {
-                lost.push(id);
-            }
-        }
-        for id in lost {
-            self.lose_conn(id, "lost its connection");
-        }
-    }
-
-    fn sweep_deadlines(&mut self) {
-        let now = Instant::now();
-        let timeout = self.cfg.cell_timeout.as_secs_f64();
-        let expired: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.alive && c.busy.is_some_and(|(_, d)| now >= d))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            self.lose_conn(id, &format!("exceeded the {timeout:.0}s cell deadline (presumed hung)"));
-        }
-    }
-
-    fn sweep_liveness(&mut self) {
-        let deadline = self.cfg.heartbeat * 4;
-        let silent: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.alive && c.last_seen.elapsed() > deadline)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in silent {
-            self.lose_conn(
-                id,
-                &format!(
-                    "went silent past the {:.1}s liveness deadline (half-open or partitioned)",
-                    deadline.as_secs_f64()
-                ),
-            );
-        }
-    }
-
-    /// Declares connection `id` dead: closes it, and — when a cell was
-    /// in flight — attributes the loss to the peer (feeding the
-    /// quarantine counter) and requeues or degrades the cell.
-    fn lose_conn(&mut self, id: usize, why: &str) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
-        if !conn.alive {
-            return;
-        }
-        conn.alive = false;
-        conn.sink.close();
-        let name = conn.name.clone();
-        let Some((pos, _)) = conn.busy.take() else { return };
-        eprintln!("dispatch: worker {name} {why}; requeueing its cell");
-        self.summary.workers_lost += 1;
-        self.ledger.record(pos, &format!("worker {name} {why}"));
-        if self.ledger.requeue(pos, self.cfg.retries, &mut self.summary).is_err() {
-            self.ledger.record(pos, "retry budget spent; finishing in-process");
-            eprintln!(
-                "dispatch: cell {} spent its retry budget; degrading to in-process",
-                self.ledger.cells[pos]
-            );
-            self.unfinished.push(pos);
-            self.summary.degraded_cells += 1;
-        }
-        let peer = self.peers.entry(name.clone()).or_default();
-        peer.failures += 1;
-        peer.consecutive += 1;
-        if peer.consecutive >= self.cfg.quarantine_after && !peer.quarantined {
-            peer.quarantined = true;
-            eprintln!(
-                "dispatch: quarantining worker {name} after {} consecutive failures",
-                peer.consecutive
-            );
-            // Close the peer's other connections; their cells go back
-            // uncharged (they never failed there).
-            let same: Vec<usize> = self
-                .conns
-                .iter()
-                .filter(|(&cid, c)| cid != id && c.alive && c.name == name)
-                .map(|(&cid, _)| cid)
-                .collect();
-            for cid in same {
-                if let Some(c) = self.conns.get_mut(&cid) {
-                    let _ = c.sink.send("{\"type\":\"quarantine\"}");
-                    c.sink.close();
-                    c.alive = false;
-                    if let Some((p, _)) = c.busy.take() {
-                        self.ledger.record(p, &format!("reassigned: worker {name} quarantined"));
-                        self.ledger.queue.push_front(p);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Any live connection whose peer is not quarantined?
-    fn has_capacity(&self) -> bool {
-        self.conns.values().any(|c| {
-            c.alive && !self.peers.get(&c.name).is_some_and(|p| p.quarantined)
-        })
-    }
-
-    /// Degrades every queued cell to in-process execution.
-    fn degrade_queue(&mut self, why: &str) {
-        while let Some(pos) = self.ledger.queue.pop_front() {
-            self.ledger.record(pos, &format!("{why}; finishing in-process"));
-            self.unfinished.push(pos);
-            self.summary.degraded_cells += 1;
-        }
-    }
-
-    fn status_doc(&self) -> Json {
-        let workers: Vec<Json> = self
-            .peers
-            .iter()
-            .map(|(name, p)| {
-                let connected =
-                    self.conns.values().any(|c| c.alive && &c.name == name);
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(name.clone())),
-                    (
-                        "state".into(),
-                        Json::Str(
-                            if p.quarantined {
-                                "quarantined"
-                            } else if connected {
-                                "live"
-                            } else {
-                                "lost"
-                            }
-                            .into(),
-                        ),
-                    ),
-                    ("cells_completed".into(), Json::Num(p.cells_completed.to_string())),
-                    ("failures".into(), Json::Num(p.failures.to_string())),
-                    (
-                        "reconnects".into(),
-                        Json::Num(p.connections.saturating_sub(1).to_string()),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(crate::STATUS_SCHEMA.into())),
-            ("cells_total".into(), Json::Num(self.ledger.cells.len().to_string())),
-            ("cells_done".into(), Json::Num(self.ledger.done.to_string())),
-            ("queued".into(), Json::Num(self.ledger.queue.len().to_string())),
-            ("retries".into(), Json::Num(self.summary.retries.to_string())),
-            ("workers".into(), Json::Arr(workers)),
-        ])
-    }
-
-    /// Shuts surviving workers down cleanly and fills the summary's
-    /// per-peer stats.
-    fn finish(&mut self) {
-        for conn in self.conns.values_mut() {
-            if conn.alive {
-                let _ = conn.sink.send("{\"type\":\"shutdown\"}");
-            }
-            conn.sink.close();
-        }
-        self.summary.workers_spawned = self.peers.len();
-        self.summary.quarantined = self.peers.values().filter(|p| p.quarantined).count();
-        self.summary.workers = self
-            .peers
-            .iter()
-            .map(|(name, p)| WorkerStat {
-                name: name.clone(),
-                connected: self.conns.values().any(|c| &c.name == name && c.alive),
-                cells_completed: p.cells_completed,
-                failures: p.failures,
-                reconnects: p.connections.saturating_sub(1),
-                quarantined: p.quarantined,
-            })
-            .collect();
     }
 }
 
 // ----- the remote worker ------------------------------------------------
-
-/// One-shot guard for non-`repeat` network fault injection.
-static NET_FAULT_FIRED: AtomicBool = AtomicBool::new(false);
-
-enum ConnEnd {
-    /// The coordinator sent `shutdown`: the sweep is over.
-    Shutdown,
-    /// The coordinator quarantined this worker.
-    Quarantined,
-    /// Deterministic failure (executor error, protocol violation).
-    Fatal(String),
-    /// The connection died; `inited` records whether the session got as
-    /// far as `init` (which resets the reconnect attempt budget).
-    Lost { inited: bool, reason: String },
-}
 
 /// Runs a remote worker against the coordinator at `addr`, reconnecting
 /// with `backoff` on connection loss, until the coordinator shuts it
@@ -709,24 +196,24 @@ pub fn connect_worker<F>(addr: &str, name: &str, backoff: &Backoff, mut execute:
 where
     F: FnMut(&Json, u64) -> Result<Json, String>,
 {
-    let fault = NetFault::from_env();
+    let fault = Fault::from_env();
     let mut attempt: u32 = 0;
     loop {
         let end = match TcpStream::connect(addr) {
-            Ok(stream) => serve_connection(&stream, name, fault, &mut execute),
-            Err(e) => ConnEnd::Lost { inited: false, reason: format!("cannot connect: {e}") },
+            Ok(stream) => session(stream, name, fault, &mut execute),
+            Err(e) => SessionEnd::Lost { inited: false, reason: format!("cannot connect: {e}") },
         };
         match end {
-            ConnEnd::Shutdown => return 0,
-            ConnEnd::Quarantined => {
+            SessionEnd::Shutdown => return 0,
+            SessionEnd::Quarantined => {
                 eprintln!("rix worker {name}: quarantined by the coordinator");
                 return 3;
             }
-            ConnEnd::Fatal(e) => {
+            SessionEnd::Fatal(e) => {
                 eprintln!("rix worker {name}: {e}");
                 return 1;
             }
-            ConnEnd::Lost { inited, reason } => {
+            SessionEnd::Lost { inited, reason } => {
                 if inited {
                     // A session that reached `init` proves the address
                     // is real: start the backoff schedule over.
@@ -751,28 +238,23 @@ where
     }
 }
 
-/// Serves one coordinator connection to completion.
-fn serve_connection<F>(
-    stream: &TcpStream,
+/// One connection: say `hello`, then run the serve loop over it.
+fn session(
+    stream: TcpStream,
     name: &str,
-    fault: Option<NetFault>,
-    execute: &mut F,
-) -> ConnEnd
-where
-    F: FnMut(&Json, u64) -> Result<Json, String>,
-{
+    fault: Option<Fault>,
+    execute: &mut dyn FnMut(&Json, u64) -> Result<Json, String>,
+) -> SessionEnd {
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
-        return ConnEnd::Lost { inited: false, reason: "cannot clone the socket".into() };
-    };
-    let Ok(read_half) = stream.try_clone() else {
-        return ConnEnd::Lost { inited: false, reason: "cannot clone the socket".into() };
+        return SessionEnd::Lost { inited: false, reason: "cannot clone the socket".into() };
     };
     let mut sink = TcpSink::new(write_half);
-    let mut source = match TcpSource::new(read_half, POLL) {
+    let mut source = match TcpSource::new(stream, POLL) {
         Ok(s) => s,
         Err(e) => {
-            return ConnEnd::Lost { inited: false, reason: format!("cannot set read timeout: {e}") };
+            let reason = format!("cannot set read timeout: {e}");
+            return SessionEnd::Lost { inited: false, reason };
         }
     };
     let hello = format!(
@@ -782,139 +264,9 @@ where
         hello_token()
     );
     if let Err(e) = sink.send(&hello) {
-        return ConnEnd::Lost { inited: false, reason: format!("hello send failed: {e}") };
+        return SessionEnd::Lost { inited: false, reason: format!("hello send failed: {e}") };
     }
-
-    let mut init: Option<Json> = None;
-    // Until `init` arrives the coordinator owes us a frame promptly;
-    // after it, silence is bounded by the heartbeat liveness deadline.
-    let mut liveness = Duration::from_secs(30);
-    let mut last_seen = Instant::now();
-    let stop_hb = Arc::new(AtomicBool::new(false));
-    let mut actionable: u64 = 0;
-
-    let end = loop {
-        let line = match source.next_line() {
-            Ok(NextLine::Line(line)) => line,
-            Ok(NextLine::Idle) => {
-                if last_seen.elapsed() > liveness {
-                    break ConnEnd::Lost {
-                        inited: init.is_some(),
-                        reason: format!(
-                            "coordinator silent past the {:.1}s liveness deadline",
-                            liveness.as_secs_f64()
-                        ),
-                    };
-                }
-                continue;
-            }
-            Ok(NextLine::Eof) => {
-                break ConnEnd::Lost {
-                    inited: init.is_some(),
-                    reason: "coordinator closed the connection".into(),
-                };
-            }
-            Err(e) => {
-                break ConnEnd::Lost { inited: init.is_some(), reason: format!("read failed: {e}") };
-            }
-        };
-        last_seen = Instant::now();
-        let Ok(msg) = Json::parse(&line) else {
-            break ConnEnd::Fatal(format!("unparsable coordinator frame {line:?}"));
-        };
-        let kind = msg.get("type").and_then(Json::as_str).map(str::to_string);
-        if matches!(kind.as_deref(), Some("init" | "cell" | "shutdown")) {
-            actionable += 1;
-            if let Some(f) = fault {
-                if actionable == f.at && (f.repeat || !NET_FAULT_FIRED.swap(true, Ordering::Relaxed))
-                {
-                    match f.kind {
-                        NetFaultKind::Exit => {
-                            eprintln!("rix worker {name}: injected net-exit at frame {actionable}");
-                            std::process::exit(86);
-                        }
-                        NetFaultKind::Drop => {
-                            eprintln!("rix worker {name}: injected net-drop at frame {actionable}");
-                            stop_hb.store(true, Ordering::Relaxed);
-                            sink.close();
-                            break ConnEnd::Lost {
-                                inited: init.is_some(),
-                                reason: "injected connection drop".into(),
-                            };
-                        }
-                        NetFaultKind::Stall => {
-                            eprintln!("rix worker {name}: injected net-stall at frame {actionable}");
-                            // Half-open: the socket stays up, nothing
-                            // flows either way (heartbeats included) —
-                            // only the coordinator's liveness deadline
-                            // can reclaim the cell.
-                            stop_hb.store(true, Ordering::Relaxed);
-                            loop {
-                                std::thread::sleep(Duration::from_secs(3600));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        match kind.as_deref() {
-            Some("ping") => {}
-            Some("init") => {
-                if let Err(e) = check_init_schema(&msg) {
-                    break ConnEnd::Fatal(e);
-                }
-                let hb_ms = msg.get("heartbeat_ms").and_then(Json::as_u64).unwrap_or(0);
-                if hb_ms > 0 {
-                    let interval = Duration::from_millis(hb_ms);
-                    liveness = (interval * 4).max(Duration::from_secs(1));
-                    let stop = Arc::clone(&stop_hb);
-                    let mut hb_sink = sink.clone();
-                    std::thread::spawn(move || {
-                        let mut n: u64 = 0;
-                        while !stop.load(Ordering::Relaxed) {
-                            std::thread::sleep(interval);
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            n += 1;
-                            if hb_sink.send(&format!("{{\"type\":\"ping\",\"n\":{n}}}")).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                init = Some(msg);
-            }
-            Some("cell") => {
-                let Some(init_msg) = init.clone() else {
-                    break ConnEnd::Fatal("cell assignment before init".into());
-                };
-                match run_cell(&mut source, &mut sink, &init_msg, &msg, execute) {
-                    Ok(()) => last_seen = Instant::now(),
-                    Err(ServeError::Fatal(e)) => break ConnEnd::Fatal(e),
-                    Err(ServeError::Lost(e)) => {
-                        break ConnEnd::Lost { inited: true, reason: e };
-                    }
-                }
-            }
-            Some("shutdown") => break ConnEnd::Shutdown,
-            Some("quarantine") => break ConnEnd::Quarantined,
-            // A structured rejection (bad token, unsupported schema):
-            // the coordinator will never accept this configuration, so
-            // reconnecting would only loop — treat it as fatal.
-            Some("error") => {
-                let reason = msg
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified coordinator error");
-                break ConnEnd::Fatal(format!("coordinator rejected this worker: {reason}"));
-            }
-            other => break ConnEnd::Fatal(format!("unexpected coordinator frame type {other:?}")),
-        }
-    };
-    stop_hb.store(true, Ordering::Relaxed);
-    sink.close();
-    end
+    serve_channel(&mut source, &mut sink, name, fault, execute)
 }
 
 /// The optional `,"token":…` hello fragment: the shared secret from
@@ -1024,7 +376,7 @@ mod tests {
             })
             .collect();
         let cells: Vec<u64> = vec![3, 1, 4, 15, 9, 2, 6];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &fast_cfg()).unwrap();
+        let out = serve_cells(listener, &plan(), &cells, &fast_cfg()).unwrap();
         assert!(out.unfinished.is_empty());
         for (cell, payload) in cells.iter().zip(&out.payloads) {
             let payload = payload.as_ref().expect("filled");
@@ -1050,7 +402,7 @@ mod tests {
                 Err("deterministic failure".into())
             })
         });
-        let err = serve_cells(listener, &plan(), &[0, 1], None, None, &fast_cfg()).unwrap_err();
+        let err = serve_cells(listener, &plan(), &[0, 1], &fast_cfg()).unwrap_err();
         assert!(err.to_string().contains("deterministic failure"), "{err}");
         assert_eq!(w.join().unwrap(), 1, "executor errors kill the worker");
     }
@@ -1060,7 +412,7 @@ mod tests {
         let (listener, _) = listen();
         let cfg = NetPoolConfig { worker_wait: Duration::from_millis(200), ..fast_cfg() };
         let cells: Vec<u64> = vec![7, 8, 9];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &cfg).unwrap();
+        let out = serve_cells(listener, &plan(), &cells, &cfg).unwrap();
         assert_eq!(out.unfinished, vec![0, 1, 2], "every cell handed back");
         assert!(out.payloads.iter().all(Option::is_none));
         assert_eq!(out.summary.degraded_cells, 3);
@@ -1091,7 +443,7 @@ mod tests {
             reader.read_line(&mut rest).unwrap_or(0);
             (first, rest)
         });
-        let out = serve_cells(listener, &plan(), &[3], None, None, &cfg).unwrap();
+        let out = serve_cells(listener, &plan(), &[3], &cfg).unwrap();
         let (first, rest) = intruder.join().unwrap();
         let reply = Json::parse(first.trim()).expect("rejection is a JSON frame");
         assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
@@ -1140,7 +492,7 @@ mod tests {
             }
             saw_init
         });
-        let out = serve_cells(listener, &plan(), &[5, 6], None, None, &cfg).unwrap();
+        let out = serve_cells(listener, &plan(), &[5, 6], &cfg).unwrap();
         assert!(worker.join().unwrap(), "the keyed worker was sent init");
         assert!(out.unfinished.is_empty(), "{:?}", out.summary);
         assert_eq!(
@@ -1184,7 +536,7 @@ mod tests {
             std::thread::spawn(move || connect_worker(&addr, "steady", &fast_backoff(), echo))
         };
         let cells: Vec<u64> = vec![10, 11, 12, 13];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &fast_cfg()).unwrap();
+        let out = serve_cells(listener, &plan(), &cells, &fast_cfg()).unwrap();
         assert!(out.unfinished.is_empty(), "{:?}", out.summary);
         for (cell, payload) in cells.iter().zip(&out.payloads) {
             assert_eq!(
@@ -1250,7 +602,7 @@ mod tests {
         };
         let cfg = NetPoolConfig { quarantine_after: 2, retries: 4, ..fast_cfg() };
         let cells: Vec<u64> = vec![20, 21, 22, 23, 24, 25];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &cfg).unwrap();
+        let out = serve_cells(listener, &plan(), &cells, &cfg).unwrap();
         assert!(out.unfinished.is_empty(), "{:?}", out.summary);
         assert_eq!(out.summary.quarantined, 1, "{:?}", out.summary);
         let b = out.summary.workers.iter().find(|w| w.name == "bad").unwrap();
@@ -1266,7 +618,7 @@ mod tests {
         let cells: Vec<u64> = vec![0, 1];
         let server = {
             let p = plan();
-            std::thread::spawn(move || serve_cells(listener, &p, &cells, None, None, &fast_cfg()))
+            std::thread::spawn(move || serve_cells(listener, &p, &cells, &fast_cfg()))
         };
         // Query while the run waits for workers.
         let doc = query_status(&addr).unwrap();
@@ -1277,43 +629,5 @@ mod tests {
         let out = server.join().unwrap().unwrap();
         assert!(out.unfinished.is_empty());
         assert!(w.join().unwrap() <= 2);
-    }
-
-    #[test]
-    fn remote_cache_dance_serves_hits_and_collects_stores() {
-        let dir = std::env::temp_dir()
-            .join(format!("rix-net-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let keys: Vec<String> = (0..3).map(|i| ResultCache::key(&format!("cell {i}"))).collect();
-        // Pre-seed one entry: the worker must get it as a hit and skip
-        // execution for that cell.
-        cache.store(&keys[1], &Json::parse(r#"{"cell":101}"#).unwrap()).unwrap();
-
-        let (listener, addr) = listen();
-        let w = std::thread::spawn(move || {
-            connect_worker(&addr, "cached", &fast_backoff(), |_, cell| {
-                assert_ne!(cell, 101, "the pre-seeded cell must not execute");
-                echo(&Json::Null, cell)
-            })
-        });
-        let cells: Vec<u64> = vec![100, 101, 102];
-        let out =
-            serve_cells(listener, &plan(), &cells, Some(&keys), Some(&cache), &fast_cfg())
-                .unwrap();
-        assert!(out.unfinished.is_empty());
-        assert_eq!(out.summary.cache_hits, 1, "{:?}", out.summary);
-        for (cell, payload) in cells.iter().zip(&out.payloads) {
-            assert_eq!(
-                payload.as_ref().and_then(|p| p.get("cell")).and_then(Json::as_u64),
-                Some(*cell)
-            );
-        }
-        // The misses were stored back: every key now loads.
-        for key in &keys {
-            assert!(cache.load(key).is_some(), "store-back missing for {key}");
-        }
-        assert_eq!(w.join().unwrap(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

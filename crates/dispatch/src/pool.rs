@@ -1,27 +1,42 @@
-//! The coordinator: a pool of worker processes fed one cell at a time.
+//! The coordinator: one event loop that feeds cells, one at a time, to
+//! whatever peers it has.
 //!
-//! [`dispatch_cells`] spawns `workers` processes (by default
-//! `current_exe()` with the [`crate::WORKER_ARG`] argument, overridable
-//! for tests), sends each an `init` message carrying the plan, then
-//! streams cell assignments and collects result payloads. Every worker
-//! holds at most one in-flight cell; a reader thread per worker drains
-//! its stdout into one mpsc channel, so the coordinator's single event
-//! loop sees results, worker deaths (EOF) and per-cell deadline expiry
-//! in arrival order and a verbose worker can never dead-lock the pipe.
+//! Peers come from one of two sources, and the source is the only
+//! thing that differs between a process pool and a served run:
 //!
-//! This is the *process* pool (stdio transport). The *socket* pool —
-//! remote workers over TCP, with heartbeats, reconnects, quarantine and
-//! graceful degradation — lives in [`crate::net`] and shares this
-//! module's [`PoolSummary`] / [`PoolError`] accounting.
+//! * [`dispatch_cells`] spawns `workers` processes (by default
+//!   `current_exe()` with the [`crate::WORKER_ARG`] argument,
+//!   overridable for tests) and talks to each over its stdin/stdout. A
+//!   pipe cannot go half-open, so spawned peers are sent
+//!   `heartbeat_ms:0` and never pinged. No peer can arrive later, so
+//!   losing every worker with work left, or spending a cell's retry
+//!   budget, fails the run with a [`PoolError`].
+//! * [`crate::net::serve_cells`] accepts remote workers on a TCP
+//!   listener. Those peers heartbeat and can be quarantined, and since
+//!   more may still arrive, a spent retry budget or a capacity drought
+//!   longer than `worker_wait` hands cells back to the caller
+//!   (*degrades* them) instead of failing.
+//!
+//! Either way every peer holds at most one in-flight cell, and a reader
+//! thread per peer drains its channel into one mpsc channel. The single
+//! event loop therefore sees results, peer losses (EOF) and deadline
+//! expiry in arrival order, wakes the moment a frame arrives, and a
+//! verbose worker can never dead-lock a pipe.
 //!
 //! See the [crate docs](crate) for the wire protocol and fault model.
 
+use crate::net::NetPoolConfig;
+use crate::transport::{BlockingSource, FrameSink, LineSource, NextLine, WriteSink};
+use crate::worker::check_init_schema;
 use rix_isa::json::Json;
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::collections::{BTreeMap, VecDeque};
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+/// How often the event loop sweeps deadlines when no frame arrives (a
+/// frame wakes it at once), and the socket read-poll granularity.
+pub(crate) const POLL: Duration = Duration::from_millis(50);
 
 /// Tuning for one [`dispatch_cells`] run.
 #[derive(Clone, Debug)]
@@ -51,9 +66,9 @@ impl Default for PoolConfig {
     }
 }
 
-/// Per-worker accounting inside a [`PoolSummary`] — one row per worker
-/// process (stdio pool) or per named remote peer across all of its
-/// connections (socket pool).
+/// Per-worker accounting inside a [`PoolSummary`] — one row per named
+/// peer across all of its connections (a spawned process has exactly
+/// one).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStat {
     /// `proc-N` for spawned processes; the hello-declared name for
@@ -66,10 +81,10 @@ pub struct WorkerStat {
     /// Cell losses attributed to this worker (death, deadline, or
     /// liveness expiry with a cell in flight).
     pub failures: u64,
-    /// Reconnections beyond the first connection (socket pool only).
+    /// Reconnections beyond the first connection (remote peers only).
     pub reconnects: u64,
-    /// Quarantined after too many consecutive failures (socket pool
-    /// only — a dead stdio worker is simply gone).
+    /// Quarantined after too many consecutive failures (remote peers
+    /// only — a dead spawned worker is simply gone).
     pub quarantined: bool,
 }
 
@@ -86,6 +101,19 @@ impl WorkerStat {
             "lost"
         }
     }
+
+    /// The row as JSON — the shape shared by the status document and
+    /// callers' structured reports.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("name".into(), Json::Str(self.name.clone())),
+            ("state".into(), Json::Str(self.state().into())),
+            ("cells_completed".into(), Json::Num(self.cells_completed.to_string())),
+            ("failures".into(), Json::Num(self.failures.to_string())),
+            ("reconnects".into(), Json::Num(self.reconnects.to_string())),
+        ])
+    }
 }
 
 /// What a pool run did, beyond the results: fodder for stderr
@@ -93,22 +121,19 @@ impl WorkerStat {
 /// across worker counts and fault histories).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolSummary {
-    /// Worker processes spawned (stdio pool) or distinct peers that
-    /// connected (socket pool).
+    /// Worker processes spawned, or distinct remote peers that
+    /// connected.
     pub workers_spawned: usize,
-    /// Workers lost to death, deadline, or heartbeat-liveness expiry
-    /// during the run.
+    /// Worker connections lost to death, disconnection, deadline, or
+    /// heartbeat-liveness expiry during the run.
     pub workers_lost: usize,
     /// Cell assignments retried after a loss.
     pub retries: u64,
-    /// Results served from the coordinator's cache over the wire
-    /// (socket pool with a remote-backed cache).
-    pub cache_hits: u64,
     /// Cells handed back to the caller to finish in-process after
-    /// remote capacity was lost or a retry budget was spent (socket
-    /// pool's graceful degradation).
+    /// remote capacity was lost or a retry budget was spent (a served
+    /// run's graceful degradation).
     pub degraded_cells: u64,
-    /// Peers quarantined for consecutive failures (socket pool).
+    /// Remote peers quarantined for consecutive failures.
     pub quarantined: usize,
     /// Per-worker detail, in a deterministic (name) order.
     pub workers: Vec<WorkerStat>,
@@ -160,22 +185,22 @@ impl std::fmt::Display for PoolError {
     }
 }
 
-/// The shared cell bookkeeping of both pools: the work queue, per-cell
+/// The coordinator's cell bookkeeping: the work queue, per-cell
 /// attempt counts and fault histories, and the filled results.
-pub(crate) struct CellLedger<'a> {
-    pub cells: &'a [u64],
-    pub queue: VecDeque<usize>,
-    pub attempts: Vec<u32>,
+struct CellLedger<'a> {
+    cells: &'a [u64],
+    queue: VecDeque<usize>,
+    attempts: Vec<u32>,
     /// Per-cell fault events (worker deaths, deadline hits), oldest
     /// first — surfaced in [`PoolError`] and degradation notes.
-    pub history: Vec<Vec<String>>,
-    pub results: Vec<Option<Json>>,
-    pub done: usize,
-    pub started: Instant,
+    history: Vec<Vec<String>>,
+    results: Vec<Option<Json>>,
+    done: usize,
+    started: Instant,
 }
 
 impl<'a> CellLedger<'a> {
-    pub fn new(cells: &'a [u64]) -> Self {
+    fn new(cells: &'a [u64]) -> Self {
         Self {
             cells,
             queue: (0..cells.len()).collect(),
@@ -189,13 +214,13 @@ impl<'a> CellLedger<'a> {
 
     /// Records a fault event against cell `pos`, stamped with the time
     /// since the run started.
-    pub fn record(&mut self, pos: usize, event: &str) {
+    fn record(&mut self, pos: usize, event: &str) {
         let t = self.started.elapsed();
         self.history[pos].push(format!("[t+{:.1}s] {event}", t.as_secs_f64()));
     }
 
     /// Fills cell `pos` with `payload` (first writer wins).
-    pub fn complete(&mut self, pos: usize, payload: Json) {
+    fn complete(&mut self, pos: usize, payload: Json) {
         if self.results[pos].is_none() {
             self.results[pos] = Some(payload);
             self.done += 1;
@@ -205,7 +230,7 @@ impl<'a> CellLedger<'a> {
     /// Puts a lost cell back at the front of the queue; `Err(())` when
     /// its retry budget is spent (the caller decides whether that is
     /// fatal or a degradation).
-    pub fn requeue(&mut self, pos: usize, retries: u32, summary: &mut PoolSummary) -> Result<(), ()> {
+    fn requeue(&mut self, pos: usize, retries: u32, summary: &mut PoolSummary) -> Result<(), ()> {
         self.attempts[pos] += 1;
         if self.attempts[pos] > retries {
             return Err(());
@@ -216,7 +241,7 @@ impl<'a> CellLedger<'a> {
     }
 
     /// The [`PoolError`] for cell `pos` exhausting its retry budget.
-    pub fn budget_error(&self, pos: usize, retries: u32) -> PoolError {
+    fn budget_error(&self, pos: usize, retries: u32) -> PoolError {
         PoolError {
             cell: Some(self.cells[pos]),
             history: self.history[pos].clone(),
@@ -228,41 +253,475 @@ impl<'a> CellLedger<'a> {
     }
 }
 
-enum Event {
-    /// One stdout line from worker `idx`.
+// ----- the event loop ---------------------------------------------------
+
+/// What a peer's reader thread tells the event loop.
+pub(crate) enum Event {
+    /// Listener connection `id` completed its handshake read: here is
+    /// its write half and its `hello`.
+    Hello(usize, Box<dyn FrameSink + Send>, Json),
+    /// One frame from peer `id`.
     Line(usize, String),
-    /// Worker `idx`'s stdout closed (exit, crash, or our kill).
+    /// Peer `id`'s channel closed (exit, crash, reset, or our own
+    /// close).
     Eof(usize),
 }
 
-struct WorkerSlot {
-    child: Child,
-    stdin: Option<ChildStdin>,
-    /// `(position in `cells`, deadline)` of the in-flight assignment.
-    busy: Option<(usize, Instant)>,
-    alive: bool,
-    cells_completed: u64,
-    failures: u64,
+/// Forwards every frame of peer `id` to the event loop until the
+/// channel closes.
+pub(crate) fn drain(id: usize, source: &mut dyn LineSource, tx: &mpsc::Sender<Event>) {
+    loop {
+        match source.next_line() {
+            Ok(NextLine::Line(line)) => {
+                if tx.send(Event::Line(id, line)).is_err() {
+                    return;
+                }
+            }
+            Ok(NextLine::Idle) => {}
+            Ok(NextLine::Eof) | Err(_) => {
+                let _ = tx.send(Event::Eof(id));
+                return;
+            }
+        }
+    }
 }
 
-/// Runs every entry of `cells` on the worker pool and returns the
-/// payloads in `cells` order, plus a [`PoolSummary`].
+struct Conn {
+    name: String,
+    sink: Box<dyn FrameSink + Send>,
+    /// The process behind a spawned peer, killed when the peer is lost.
+    child: Option<Child>,
+    alive: bool,
+    /// `(position in `cells`, deadline)` of the in-flight assignment.
+    busy: Option<(usize, Instant)>,
+    last_seen: Instant,
+}
+
+#[derive(Default)]
+struct Peer {
+    connections: u64,
+    cells_completed: u64,
+    failures: u64,
+    consecutive: u32,
+    quarantined: bool,
+}
+
+/// The one coordinator: assignment, deadline and liveness sweeps,
+/// failure attribution, quarantine, degradation and accounting, over
+/// peers of either source.
+pub(crate) struct Coordinator<'a> {
+    cell_timeout: Duration,
+    retries: u32,
+    /// The listener's tuning on a served run; `None` for spawned peers.
+    net: Option<&'a NetPoolConfig>,
+    plan_line: String,
+    ledger: CellLedger<'a>,
+    summary: PoolSummary,
+    /// Cells handed back to the caller (served runs only).
+    unfinished: Vec<usize>,
+    /// What ends a spawned pool's run early: a spent retry budget.
+    failed: Option<PoolError>,
+    conns: BTreeMap<usize, Conn>,
+    peers: BTreeMap<String, Peer>,
+    ping_n: u64,
+}
+
+impl<'a> Coordinator<'a> {
+    pub(crate) fn new(
+        plan: &Json,
+        cells: &'a [u64],
+        cell_timeout: Duration,
+        retries: u32,
+        net: Option<&'a NetPoolConfig>,
+    ) -> Self {
+        Self {
+            cell_timeout,
+            retries,
+            net,
+            plan_line: plan.dump(),
+            ledger: CellLedger::new(cells),
+            summary: PoolSummary::default(),
+            unfinished: Vec::new(),
+            failed: None,
+            conns: BTreeMap::new(),
+            peers: BTreeMap::new(),
+            ping_n: 0,
+        }
+    }
+
+    /// Runs until every cell is finished or handed back.
+    pub(crate) fn run(&mut self, rx: &mpsc::Receiver<Event>) -> Result<(), PoolError> {
+        let mut last_capacity = Instant::now();
+        let mut last_ping = Instant::now();
+        while self.ledger.done + self.unfinished.len() < self.ledger.cells.len() {
+            self.feed();
+            if self.has_capacity() {
+                last_capacity = Instant::now();
+            } else if let Some(net) = self.net {
+                if last_capacity.elapsed() > net.worker_wait {
+                    self.degrade_queue(&format!(
+                        "no connected workers for {:.1}s",
+                        net.worker_wait.as_secs_f64()
+                    ));
+                    continue;
+                }
+            } else {
+                return Err(PoolError::msg(format!(
+                    "all {} workers died with {} of {} cells unfinished ({} lost, {} retries used)",
+                    self.peers.len(),
+                    self.ledger.cells.len() - self.ledger.done,
+                    self.ledger.cells.len(),
+                    self.summary.workers_lost,
+                    self.summary.retries,
+                )));
+            }
+            if self.net.is_some_and(|n| last_ping.elapsed() >= n.heartbeat) {
+                last_ping = Instant::now();
+                self.ping_all();
+            }
+            match rx.recv_timeout(POLL) {
+                Ok(Event::Hello(id, sink, hello)) => self.handle_hello(id, sink, &hello),
+                Ok(Event::Line(id, line)) => self.handle_line(id, &line)?,
+                Ok(Event::Eof(id)) => self.lose_conn(id, "lost its connection"),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(PoolError::msg("worker event channel closed unexpectedly"));
+                }
+            }
+            self.sweep();
+            if let Some(e) = self.failed.take() {
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Registers a peer and sends it `init`.
+    pub(crate) fn admit(
+        &mut self,
+        id: usize,
+        name: String,
+        sink: Box<dyn FrameSink + Send>,
+        child: Option<Child>,
+    ) {
+        self.peers.entry(name.clone()).or_default().connections += 1;
+        let heartbeat_ms = self.net.map_or(0, |n| n.heartbeat.as_millis());
+        let init = format!(
+            "{{\"schema\":\"{}\",\"type\":\"init\",\"worker\":{id},\"heartbeat_ms\":{heartbeat_ms},\
+             \"plan\":{}}}",
+            crate::PROTOCOL_SCHEMA,
+            self.plan_line
+        );
+        let mut conn =
+            Conn { name, sink, child, alive: true, busy: None, last_seen: Instant::now() };
+        let sent = conn.sink.send(&init).is_ok();
+        self.conns.insert(id, conn);
+        if !sent {
+            self.lose_conn(id, "lost its connection");
+        }
+    }
+
+    /// A listener connection's `hello`: check schema and token, answer
+    /// status queries and quarantined peers, admit workers.
+    fn handle_hello(&mut self, id: usize, mut sink: Box<dyn FrameSink + Send>, hello: &Json) {
+        let reject = |sink: &mut Box<dyn FrameSink + Send>, frame: &str| {
+            let _ = sink.send(frame);
+            sink.close();
+        };
+        let error = |message: String| {
+            format!("{{\"type\":\"error\",\"message\":{}}}", Json::Str(message).dump())
+        };
+        if check_init_schema(hello).is_err() {
+            return reject(
+                &mut sink,
+                &error(format!(
+                    "unsupported hello schema (this coordinator speaks {})",
+                    crate::PROTOCOL_SCHEMA
+                )),
+            );
+        }
+        let token = self.net.and_then(|n| n.token.as_deref());
+        if token.is_some_and(|t| hello.get("token").and_then(Json::as_str) != Some(t)) {
+            return reject(
+                &mut sink,
+                &error(
+                    "hello rejected: missing or mismatched token (set --token or \
+                     RIX_DISPATCH_TOKEN to this coordinator's shared secret)"
+                        .into(),
+                ),
+            );
+        }
+        if hello.get("role").and_then(Json::as_str) == Some("status") {
+            return reject(&mut sink, &self.status_doc().dump());
+        }
+        let name = hello
+            .get("name")
+            .and_then(Json::as_str)
+            .map_or_else(|| format!("conn-{id}"), str::to_string);
+        if self.peers.get(&name).is_some_and(|p| p.quarantined) {
+            return reject(&mut sink, "{\"type\":\"quarantine\"}");
+        }
+        eprintln!("dispatch: worker {name} connected");
+        self.admit(id, name, sink, None);
+    }
+
+    fn handle_line(&mut self, id: usize, line: &str) -> Result<(), PoolError> {
+        let Some(conn) = self.conns.get_mut(&id) else { return Ok(()) };
+        if !conn.alive {
+            return Ok(());
+        }
+        conn.last_seen = Instant::now();
+        let Ok(msg) = Json::parse(line) else {
+            self.lose_conn(id, "sent an unparsable frame");
+            return Ok(());
+        };
+        match msg.get("type").and_then(Json::as_str) {
+            Some("ping") => {}
+            Some("result") => {
+                let (Ok(cell), Ok(payload)) = (msg.req_u64("cell"), msg.req("payload")) else {
+                    self.lose_conn(id, "sent a malformed result frame");
+                    return Ok(());
+                };
+                match conn.busy {
+                    Some((pos, _)) if self.ledger.cells[pos] == cell => {
+                        conn.busy = None;
+                        let peer = self.peers.entry(conn.name.clone()).or_default();
+                        peer.cells_completed += 1;
+                        peer.consecutive = 0;
+                        self.ledger.complete(pos, payload.clone());
+                    }
+                    _ => self.lose_conn(id, &format!("sent a result for unassigned cell {cell}")),
+                }
+            }
+            Some("error") => {
+                let cell = msg.get("cell").and_then(Json::as_u64);
+                let message = msg.get("message").and_then(Json::as_str).unwrap_or("(no message)");
+                return Err(PoolError {
+                    cell,
+                    history: cell
+                        .and_then(|c| self.ledger.cells.iter().position(|&x| x == c))
+                        .map(|pos| self.ledger.history[pos].clone())
+                        .unwrap_or_default(),
+                    message: format!("worker {} reported: {message}", conn.name),
+                });
+            }
+            other => self.lose_conn(id, &format!("sent an unexpected {other:?} frame")),
+        }
+        Ok(())
+    }
+
+    /// Hands queued cells to every idle live peer.
+    fn feed(&mut self) {
+        let mut lost: Vec<usize> = Vec::new();
+        for (&id, conn) in &mut self.conns {
+            if !(conn.alive && conn.busy.is_none()) {
+                continue;
+            }
+            let Some(pos) = self.ledger.queue.pop_front() else { break };
+            let frame = format!("{{\"type\":\"cell\",\"cell\":{}}}", self.ledger.cells[pos]);
+            if conn.sink.send(&frame).is_ok() {
+                conn.busy = Some((pos, Instant::now() + self.cell_timeout));
+            } else {
+                // The send itself failed, so the cell never reached the
+                // worker: put it back uncharged and retire the peer.
+                self.ledger.queue.push_front(pos);
+                lost.push(id);
+            }
+        }
+        for id in lost {
+            self.lose_conn(id, "lost its connection");
+        }
+    }
+
+    fn ping_all(&mut self) {
+        self.ping_n += 1;
+        let frame = format!("{{\"type\":\"ping\",\"n\":{}}}", self.ping_n);
+        let lost: Vec<usize> = self
+            .conns
+            .iter_mut()
+            .filter_map(|(&id, c)| (c.alive && c.sink.send(&frame).is_err()).then_some(id))
+            .collect();
+        for id in lost {
+            self.lose_conn(id, "lost its connection");
+        }
+    }
+
+    /// Loses every live peer past its cell deadline or, with heartbeats
+    /// on, silent past the liveness deadline (4× the heartbeat).
+    fn sweep(&mut self) {
+        let now = Instant::now();
+        let liveness = self.net.map(|n| n.heartbeat * 4);
+        let expired: Vec<(usize, String)> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.alive)
+            .filter_map(|(&id, c)| {
+                if c.busy.is_some_and(|(_, d)| now >= d) {
+                    let secs = self.cell_timeout.as_secs_f64();
+                    Some((id, format!("exceeded the {secs:.0}s cell deadline (presumed hung)")))
+                } else {
+                    let l = liveness.filter(|&l| c.last_seen.elapsed() > l)?;
+                    Some((
+                        id,
+                        format!(
+                            "went silent past the {:.1}s liveness deadline (half-open or \
+                             partitioned)",
+                            l.as_secs_f64()
+                        ),
+                    ))
+                }
+            })
+            .collect();
+        for (id, why) in expired {
+            self.lose_conn(id, &why);
+        }
+    }
+
+    /// Declares peer `id` lost: closes it (killing a spawned process)
+    /// and, when a cell was in flight, attributes the loss to the peer
+    /// (feeding the quarantine counter) and requeues the cell — or, its
+    /// retry budget spent, degrades it (served) or fails the run
+    /// (spawned).
+    fn lose_conn(&mut self, id: usize, why: &str) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if !conn.alive {
+            return;
+        }
+        conn.alive = false;
+        conn.sink.close();
+        if let Some(child) = &mut conn.child {
+            let _ = child.kill();
+        }
+        self.summary.workers_lost += 1;
+        let name = conn.name.clone();
+        let Some((pos, _)) = conn.busy.take() else { return };
+        eprintln!("dispatch: worker {name} {why}; requeueing its cell");
+        self.ledger.record(pos, &format!("worker {name} {why}"));
+        if self.ledger.requeue(pos, self.retries, &mut self.summary).is_err() {
+            if self.net.is_some() {
+                self.ledger.record(pos, "retry budget spent; finishing in-process");
+                eprintln!(
+                    "dispatch: cell {} spent its retry budget; degrading to in-process",
+                    self.ledger.cells[pos]
+                );
+                self.unfinished.push(pos);
+                self.summary.degraded_cells += 1;
+            } else if self.failed.is_none() {
+                self.failed = Some(self.ledger.budget_error(pos, self.retries));
+            }
+        }
+        let threshold = self.net.map_or(u32::MAX, |n| n.quarantine_after);
+        let peer = self.peers.entry(name.clone()).or_default();
+        peer.failures += 1;
+        peer.consecutive += 1;
+        if peer.consecutive >= threshold && !peer.quarantined {
+            peer.quarantined = true;
+            eprintln!(
+                "dispatch: quarantining worker {name} after {} consecutive failures",
+                peer.consecutive
+            );
+            // Close the peer's other connections; their cells go back
+            // uncharged (they never failed there).
+            for c in self.conns.values_mut().filter(|c| c.alive && c.name == name) {
+                let _ = c.sink.send("{\"type\":\"quarantine\"}");
+                c.sink.close();
+                c.alive = false;
+                if let Some((p, _)) = c.busy.take() {
+                    self.ledger.record(p, &format!("reassigned: worker {name} quarantined"));
+                    self.ledger.queue.push_front(p);
+                }
+            }
+        }
+    }
+
+    /// Any live peer that is not quarantined?
+    fn has_capacity(&self) -> bool {
+        self.conns
+            .values()
+            .any(|c| c.alive && !self.peers.get(&c.name).is_some_and(|p| p.quarantined))
+    }
+
+    /// Degrades every queued cell to in-process execution.
+    fn degrade_queue(&mut self, why: &str) {
+        while let Some(pos) = self.ledger.queue.pop_front() {
+            self.ledger.record(pos, &format!("{why}; finishing in-process"));
+            self.unfinished.push(pos);
+            self.summary.degraded_cells += 1;
+        }
+    }
+
+    /// One row per named peer, in name order.
+    fn worker_stats(&self) -> Vec<WorkerStat> {
+        self.peers
+            .iter()
+            .map(|(name, p)| WorkerStat {
+                name: name.clone(),
+                connected: self.conns.values().any(|c| &c.name == name && c.alive),
+                cells_completed: p.cells_completed,
+                failures: p.failures,
+                reconnects: p.connections.saturating_sub(1),
+                quarantined: p.quarantined,
+            })
+            .collect()
+    }
+
+    fn status_doc(&self) -> Json {
+        Json::Obj(vec![
+            ("schema".into(), Json::Str(crate::STATUS_SCHEMA.into())),
+            ("cells_total".into(), Json::Num(self.ledger.cells.len().to_string())),
+            ("cells_done".into(), Json::Num(self.ledger.done.to_string())),
+            ("queued".into(), Json::Num(self.ledger.queue.len().to_string())),
+            ("retries".into(), Json::Num(self.summary.retries.to_string())),
+            (
+                "workers".into(),
+                Json::Arr(self.worker_stats().iter().map(WorkerStat::to_json).collect()),
+            ),
+        ])
+    }
+
+    /// Ends the run: live peers are told `shutdown` and closed; spawned
+    /// processes are reaped (killed first unless the run ended
+    /// `clean`). Returns the payloads (`None` for cells never
+    /// finished), the handed-back cell indices in order, and the
+    /// summary with its per-peer stats.
+    pub(crate) fn finish(mut self, clean: bool) -> (Vec<Option<Json>>, Vec<usize>, PoolSummary) {
+        self.summary.workers = self.worker_stats();
+        self.summary.workers_spawned = self.peers.len();
+        self.summary.quarantined = self.peers.values().filter(|p| p.quarantined).count();
+        for conn in self.conns.values_mut() {
+            if conn.alive {
+                let _ = conn.sink.send("{\"type\":\"shutdown\"}");
+            }
+            conn.sink.close();
+            if let Some(child) = &mut conn.child {
+                if !clean {
+                    let _ = child.kill();
+                }
+                let _ = child.wait();
+            }
+        }
+        self.unfinished.sort_unstable();
+        (self.ledger.results, self.unfinished, self.summary)
+    }
+}
+
+// ----- the spawned peer source ------------------------------------------
+
+/// Runs every entry of `cells` on a pool of spawned worker processes and
+/// returns the payloads in `cells` order, plus a [`PoolSummary`].
 ///
 /// Fails on: an unspawnable worker command, a worker-reported `error`
-/// (deterministic, so never retried), a protocol violation, a cell
-/// exhausting its retry budget, or every worker dying with work left.
-/// The error names the failing cell and carries its fault history when
-/// one is attributable.
+/// (deterministic, so never retried), a cell exhausting its retry
+/// budget, or every worker dying with work left. The error names the
+/// failing cell and carries its fault history when one is attributable.
 pub fn dispatch_cells(
     plan: &Json,
     cells: &[u64],
     cfg: &PoolConfig,
 ) -> Result<(Vec<Json>, PoolSummary), PoolError> {
-    let mut summary = PoolSummary::default();
     if cells.is_empty() {
-        return Ok((Vec::new(), summary));
+        return Ok((Vec::new(), PoolSummary::default()));
     }
-    let nworkers = cfg.workers.clamp(1, cells.len());
     let (exe, args) = match &cfg.worker_cmd {
         Some((exe, args)) => (exe.clone(), args.clone()),
         None => {
@@ -272,289 +731,37 @@ pub fn dispatch_cells(
             (exe, vec![crate::WORKER_ARG.to_string()])
         }
     };
-    let plan_line = plan.dump();
     let (tx, rx) = mpsc::channel::<Event>();
-    let mut slots: Vec<WorkerSlot> = Vec::with_capacity(nworkers);
-    for w in 0..nworkers {
-        match spawn_worker(&exe, &args, w, &plan_line, &tx) {
-            Ok(slot) => slots.push(slot),
+    let mut co = Coordinator::new(plan, cells, cfg.cell_timeout, cfg.retries, None);
+    for w in 0..cfg.workers.clamp(1, cells.len()) {
+        // stderr is inherited: worker diagnostics surface on ours.
+        let spawned = Command::new(&exe)
+            .args(&args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("cannot spawn worker `{}`: {e}", exe.display()));
+        let mut child = match spawned {
+            Ok(child) => child,
             Err(e) => {
-                kill_all(&mut slots);
+                co.finish(false);
                 return Err(PoolError::msg(e));
             }
+        };
+        if let (Some(stdin), Some(stdout)) = (child.stdin.take(), child.stdout.take()) {
+            let tx = tx.clone();
+            std::thread::spawn(move || drain(w, &mut BlockingSource::new(stdout), &tx));
+            co.admit(w, format!("proc-{w}"), Box::new(WriteSink::new(stdin)), Some(child));
         }
     }
-    summary.workers_spawned = nworkers;
-
-    let mut ledger = CellLedger::new(cells);
-
-    let out = loop {
-        if ledger.done == cells.len() {
-            break Ok(());
-        }
-        // Feed every idle surviving worker.
-        for slot in &mut slots {
-            if !(slot.alive && slot.busy.is_none()) {
-                continue;
-            }
-            let Some(pos) = ledger.queue.pop_front() else { break };
-            let line = format!("{{\"type\":\"cell\",\"cell\":{}}}", cells[pos]);
-            let sent = slot
-                .stdin
-                .as_mut()
-                .is_some_and(|s| writeln!(s, "{line}").and_then(|()| s.flush()).is_ok());
-            if sent {
-                slot.busy = Some((pos, Instant::now() + cfg.cell_timeout));
-            } else {
-                // The pipe is gone: the worker died between assignments.
-                // Put the cell back (it never ran — no attempt charged)
-                // and retire the worker; its EOF event is already in
-                // flight and will find `busy` empty.
-                ledger.queue.push_front(pos);
-                let _ = slot.child.kill();
-                slot.alive = false;
-                summary.workers_lost += 1;
-            }
-        }
-        if !slots.iter().any(|s| s.alive) {
-            break Err(PoolError::msg(format!(
-                "all {nworkers} workers died with {} of {} cells unfinished \
-                 ({} lost, {} retries used)",
-                cells.len() - ledger.done,
-                cells.len(),
-                summary.workers_lost,
-                summary.retries,
-            )));
-        }
-        // Sleep until the next event or the nearest deadline, bounded
-        // so a missed wakeup can never stall the loop for long.
-        let now = Instant::now();
-        let wait = slots
-            .iter()
-            .filter_map(|s| s.busy.map(|(_, d)| d))
-            .min()
-            .map_or(Duration::from_millis(500), |d| {
-                d.saturating_duration_since(now).min(Duration::from_millis(500))
-            });
-        match rx.recv_timeout(wait) {
-            Ok(Event::Line(w, line)) => {
-                if let Err(e) = handle_line(&mut slots[w], w, &line, &mut ledger) {
-                    break Err(e);
-                }
-            }
-            Ok(Event::Eof(w)) => {
-                let slot = &mut slots[w];
-                if slot.alive {
-                    slot.alive = false;
-                    summary.workers_lost += 1;
-                    let _ = slot.child.kill();
-                    if let Some((pos, _)) = slot.busy.take() {
-                        slot.failures += 1;
-                        ledger.record(pos, &format!("worker proc-{w} died with the cell in flight"));
-                        if ledger.requeue(pos, cfg.retries, &mut summary).is_err() {
-                            break Err(ledger.budget_error(pos, cfg.retries));
-                        }
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Unreachable while `tx` lives in this scope; treat it
-                // as every worker gone.
-                break Err(PoolError::msg("worker event channel closed unexpectedly"));
-            }
-        }
-        // Deadline sweep: kill hung workers and retry their cells.
-        let now = Instant::now();
-        let mut sweep_err = None;
-        for (w, slot) in slots.iter_mut().enumerate() {
-            let Some((pos, deadline)) = slot.busy else { continue };
-            if slot.alive && now >= deadline {
-                let _ = slot.child.kill();
-                slot.alive = false;
-                slot.busy = None;
-                slot.failures += 1;
-                summary.workers_lost += 1;
-                ledger.record(
-                    pos,
-                    &format!(
-                        "worker proc-{w} exceeded the {:.0}s cell deadline (presumed hung)",
-                        cfg.cell_timeout.as_secs_f64()
-                    ),
-                );
-                if ledger.requeue(pos, cfg.retries, &mut summary).is_err() {
-                    sweep_err = Some(ledger.budget_error(pos, cfg.retries));
-                    break;
-                }
-            }
-        }
-        if let Some(e) = sweep_err {
-            break Err(e);
-        }
-    };
-    summary.workers = slots
-        .iter()
-        .enumerate()
-        .map(|(w, s)| WorkerStat {
-            name: format!("proc-{w}"),
-            connected: s.alive,
-            cells_completed: s.cells_completed,
-            failures: s.failures,
-            reconnects: 0,
-            quarantined: false,
-        })
-        .collect();
-    match out {
-        Ok(()) => {
-            shutdown(&mut slots);
-            let payloads = ledger
-                .results
-                .into_iter()
-                .map(|r| r.ok_or_else(|| PoolError::msg("internal: unfilled result slot")))
-                .collect::<Result<Vec<Json>, PoolError>>()?;
-            Ok((payloads, summary))
-        }
-        Err(e) => fail(slots, e),
-    }
-}
-
-fn fail(mut slots: Vec<WorkerSlot>, e: PoolError) -> Result<(Vec<Json>, PoolSummary), PoolError> {
-    kill_all(&mut slots);
-    Err(e)
-}
-
-/// One worker stdout line: a `result` fills its slot, an `error` fails
-/// the run. Lines from workers already retired (killed on deadline, but
-/// their reader thread had buffered output) are dropped.
-fn handle_line(
-    slot: &mut WorkerSlot,
-    w: usize,
-    line: &str,
-    ledger: &mut CellLedger<'_>,
-) -> Result<(), PoolError> {
-    if !slot.alive {
-        return Ok(());
-    }
-    let msg = Json::parse(line)
-        .map_err(|e| PoolError::msg(format!("worker {w}: unparsable protocol line {line:?}: {e}")))?;
-    match msg.get("type").and_then(Json::as_str) {
-        Some("result") => {
-            let cell = msg.req_u64("cell").map_err(|e| PoolError::msg(format!("worker {w}: {e}")))?;
-            let payload = msg
-                .req("payload")
-                .map_err(|e| PoolError::msg(format!("worker {w}: {e}")))?
-                .clone();
-            match slot.busy {
-                Some((pos, _)) if ledger.cells[pos] == cell => {
-                    slot.busy = None;
-                    slot.cells_completed += 1;
-                    ledger.complete(pos, payload);
-                    Ok(())
-                }
-                _ => Err(PoolError::msg(format!(
-                    "worker {w}: result for cell {cell} it was not assigned"
-                ))),
-            }
-        }
-        Some("error") => {
-            let cell = msg.get("cell").and_then(Json::as_u64);
-            let message = msg
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("(no message)");
-            Err(PoolError {
-                cell,
-                history: cell
-                    .and_then(|c| ledger.cells.iter().position(|&x| x == c))
-                    .map(|pos| ledger.history[pos].clone())
-                    .unwrap_or_default(),
-                message: format!("worker {w} reported: {message}"),
-            })
-        }
-        other => Err(PoolError::msg(format!(
-            "worker {w}: unexpected protocol message type {other:?} in {line:?}"
-        ))),
-    }
-}
-
-fn spawn_worker(
-    exe: &std::path::Path,
-    args: &[String],
-    w: usize,
-    plan_line: &str,
-    tx: &mpsc::Sender<Event>,
-) -> Result<WorkerSlot, String> {
-    let mut child = Command::new(exe)
-        .args(args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        // stderr inherited: worker diagnostics surface on the
-        // coordinator's stderr.
-        .spawn()
-        .map_err(|e| format!("cannot spawn worker `{}`: {e}", exe.display()))?;
-    let mut stdin = child
-        .stdin
-        .take()
-        .ok_or_else(|| "worker stdin was not piped".to_string())?;
-    let stdout = child
-        .stdout
-        .take()
-        .ok_or_else(|| "worker stdout was not piped".to_string())?;
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        let mut reader = BufReader::new(stdout);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => {
-                    let _ = tx.send(Event::Eof(w));
-                    break;
-                }
-                Ok(_) => {
-                    let _ = tx.send(Event::Line(w, line.trim_end().to_string()));
-                }
-            }
-        }
-    });
-    // An init failure here just means the worker died at birth; its EOF
-    // event reports it, so the write result is advisory.
-    let init = format!(
-        "{{\"schema\":\"{}\",\"type\":\"init\",\"worker\":{w},\"heartbeat_ms\":0,\
-         \"cache\":false,\"plan\":{plan_line}}}",
-        crate::PROTOCOL_SCHEMA
-    );
-    let _ = writeln!(stdin, "{init}").and_then(|()| stdin.flush());
-    Ok(WorkerSlot {
-        child,
-        stdin: Some(stdin),
-        busy: None,
-        alive: true,
-        cells_completed: 0,
-        failures: 0,
-    })
-}
-
-/// Graceful shutdown of the survivors: closing stdin EOFs the worker's
-/// serve loop, which exits cleanly; `wait` reaps it (and anything
-/// already killed).
-fn shutdown(slots: &mut [WorkerSlot]) {
-    for slot in slots.iter_mut() {
-        drop(slot.stdin.take());
-    }
-    for slot in slots {
-        let _ = slot.child.wait();
-    }
-}
-
-fn kill_all(slots: &mut [WorkerSlot]) {
-    for slot in slots.iter_mut() {
-        let _ = slot.child.kill();
-        drop(slot.stdin.take());
-    }
-    for slot in slots {
-        let _ = slot.child.wait();
-    }
+    let out = co.run(&rx);
+    let (results, _, summary) = co.finish(out.is_ok());
+    out?;
+    let payloads = results
+        .into_iter()
+        .map(|r| r.ok_or_else(|| PoolError::msg("internal: unfilled result slot")))
+        .collect::<Result<Vec<Json>, PoolError>>()?;
+    Ok((payloads, summary))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Transport abstraction for the dispatch protocol: framed NDJSON
-//! channels over stdio pipes or TCP sockets, the reconnect backoff
-//! schedule, and the deterministic network fault injector.
+//! channels over stdio pipes or TCP sockets, and the reconnect backoff
+//! schedule.
 //!
 //! The protocol layer ([`crate::pool`], [`crate::net`],
 //! [`crate::worker`]) never touches a raw socket or pipe directly: it
@@ -26,6 +26,11 @@ pub trait FrameSink {
     /// Closes the write half, EOF-ing the peer's read loop. Sends after
     /// a close fail.
     fn close(&mut self);
+    /// A second handle on the same channel for a heartbeat thread, when
+    /// the channel can be shared across threads (TCP); `None` otherwise.
+    fn share(&self) -> Option<Box<dyn FrameSink + Send>> {
+        None
+    }
 }
 
 /// [`FrameSink`] over any owned writer — a worker's stdout, a child's
@@ -94,6 +99,10 @@ impl FrameSink for TcpSink {
             }
         }
     }
+
+    fn share(&self) -> Option<Box<dyn FrameSink + Send>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// One read step of a framed channel.
@@ -139,31 +148,33 @@ impl<R: Read> LineSource for BlockingSource<R> {
 /// Polling [`LineSource`] over a TCP stream: a read timeout turns a
 /// silent link into periodic [`NextLine::Idle`] ticks so the caller can
 /// enforce a liveness deadline. A frame split across polls accumulates
-/// in a persistent partial buffer — bytes are never dropped on a
-/// timeout.
+/// as raw bytes in a persistent partial buffer and is decoded only once
+/// its newline arrives, so a timeout that splits a multibyte UTF-8
+/// character drops nothing.
 pub struct TcpSource {
     reader: BufReader<TcpStream>,
-    partial: String,
+    partial: Vec<u8>,
 }
 
 impl TcpSource {
     /// Wraps (the read half of) `stream`, polling at `poll` granularity.
     pub fn new(stream: TcpStream, poll: Duration) -> io::Result<Self> {
         stream.set_read_timeout(Some(poll.max(Duration::from_millis(1))))?;
-        Ok(Self { reader: BufReader::new(stream), partial: String::new() })
+        Ok(Self { reader: BufReader::new(stream), partial: Vec::new() })
     }
 }
 
 impl LineSource for TcpSource {
     fn next_line(&mut self) -> io::Result<NextLine> {
-        match self.reader.read_line(&mut self.partial) {
+        match self.reader.read_until(b'\n', &mut self.partial) {
             Ok(0) => Ok(NextLine::Eof),
             Ok(_) => {
-                if self.partial.ends_with('\n') {
-                    let line = std::mem::take(&mut self.partial);
+                if self.partial.ends_with(b"\n") {
+                    let line = String::from_utf8(std::mem::take(&mut self.partial))
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                     Ok(NextLine::Line(line.trim_end().to_string()))
                 } else {
-                    // read_line returned without a newline: EOF mid-frame.
+                    // read_until returned without a newline: EOF mid-frame.
                     Ok(NextLine::Eof)
                 }
             }
@@ -238,82 +249,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-// ----- network fault injection (tests) ----------------------------------
-
-/// What an injected network fault does when it fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetFaultKind {
-    /// Close the connection (both directions) and let the worker's
-    /// reconnect logic take over.
-    Drop,
-    /// Stop reading *and* writing with the socket left open — a
-    /// half-open link that only the peer's heartbeat liveness deadline
-    /// can catch.
-    Stall,
-    /// Kill the worker process outright (exit 86).
-    Exit,
-}
-
-/// Deterministic network fault injection for tests, parsed from
-/// `RIX_DISPATCH_FAULT`:
-///
-/// * `net-drop:N` — when this worker receives its `N`th *actionable*
-///   frame (`init`/`cell`/`shutdown`; heartbeats are not counted, so a
-///   test never races the ping timer), close the connection. One-shot:
-///   the reconnected worker serves normally after.
-/// * `net-drop:N:repeat` — fire on the `N`th actionable frame of
-///   *every* connection (a peer that fails every cell it is handed —
-///   the quarantine trigger).
-/// * `net-stall:N` — go silent with the socket open (simulated
-///   half-open link / network partition).
-/// * `net-exit:N` — die on the spot (a mid-cell worker crash).
-///
-/// Frame numbering starts at 1 with the `init` message, so `:2` fires
-/// on the first cell assignment. The legacy process-level specs
-/// (`abort:K` / `stall:K`, keyed by worker id) are unrelated and parsed
-/// by the executor layer, not here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NetFault {
-    /// What happens.
-    pub kind: NetFaultKind,
-    /// Fires on the `at`-th actionable frame (1-based).
-    pub at: u64,
-    /// Fire on every connection instead of once per process.
-    pub repeat: bool,
-}
-
-impl NetFault {
-    /// Parses a `RIX_DISPATCH_FAULT` value; `None` for anything that is
-    /// not a network fault spec (including the legacy `abort:K` /
-    /// `stall:K` process faults).
-    #[must_use]
-    pub fn parse(spec: &str) -> Option<Self> {
-        let mut parts = spec.split(':');
-        let kind = match parts.next()? {
-            "net-drop" => NetFaultKind::Drop,
-            "net-stall" => NetFaultKind::Stall,
-            "net-exit" => NetFaultKind::Exit,
-            _ => return None,
-        };
-        let at: u64 = parts.next()?.parse().ok().filter(|&n| n >= 1)?;
-        let repeat = match parts.next() {
-            None => false,
-            Some("repeat") => true,
-            Some(_) => return None,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(Self { kind, at, repeat })
-    }
-
-    /// Reads the fault spec from `RIX_DISPATCH_FAULT`.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        std::env::var("RIX_DISPATCH_FAULT").ok().as_deref().and_then(Self::parse)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,30 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn net_fault_specs_parse_and_reject() {
-        assert_eq!(
-            NetFault::parse("net-drop:2"),
-            Some(NetFault { kind: NetFaultKind::Drop, at: 2, repeat: false })
-        );
-        assert_eq!(
-            NetFault::parse("net-drop:3:repeat"),
-            Some(NetFault { kind: NetFaultKind::Drop, at: 3, repeat: true })
-        );
-        assert_eq!(
-            NetFault::parse("net-stall:1"),
-            Some(NetFault { kind: NetFaultKind::Stall, at: 1, repeat: false })
-        );
-        assert_eq!(
-            NetFault::parse("net-exit:5"),
-            Some(NetFault { kind: NetFaultKind::Exit, at: 5, repeat: false })
-        );
-        // Legacy process faults and garbage are not network faults.
-        for bad in ["abort:1", "stall:0", "net-drop", "net-drop:0", "net-drop:2:always", "net-drop:2:repeat:x", ""] {
-            assert_eq!(NetFault::parse(bad), None, "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
     fn write_sink_frames_and_closes() {
         let mut sink = WriteSink::new(Vec::new());
         sink.send("{\"a\":1}").expect("write");
@@ -424,5 +335,31 @@ mod tests {
             _ => panic!("expected a line"),
         }
         assert!(matches!(src.next_line().expect("eof"), NextLine::Eof));
+    }
+
+    #[test]
+    fn tcp_source_keeps_a_multibyte_character_split_by_a_timeout() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut writer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let mut src = TcpSource::new(stream, Duration::from_millis(100)).expect("source");
+        let frame = "{\"name\":\"w\u{e9}\"}\n".as_bytes();
+        let split = frame.iter().position(|&b| b == 0xC3).expect("lead byte") + 1;
+        writer.write_all(&frame[..split]).expect("first half");
+        // Two silent polls: the first half has certainly been consumed
+        // into the partial buffer by the second.
+        for _ in 0..2 {
+            assert!(matches!(src.next_line().expect("idle"), NextLine::Idle));
+        }
+        writer.write_all(&frame[split..]).expect("second half");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let line = loop {
+            match src.next_line().expect("read") {
+                NextLine::Line(line) => break line,
+                NextLine::Idle if std::time::Instant::now() < deadline => {}
+                _ => panic!("expected the whole frame"),
+            }
+        };
+        assert_eq!(line, "{\"name\":\"w\u{e9}\"}");
     }
 }

@@ -22,8 +22,9 @@
 //! * [`sim`] — the out-of-order pipeline with DIVA verification, driven
 //!   through resumable sessions (`step` / `run_until` / `reset_stats`),
 //! * [`workloads`] — synthetic SPEC2000int-like benchmark programs,
-//! * [`dispatch`] — multi-process experiment dispatch: the
-//!   coordinator/worker pool and the content-addressed trial cache,
+//! * [`dispatch`] — multi-process and multi-host experiment dispatch:
+//!   one coordinator over spawned or remote workers, and the
+//!   content-addressed trial cache,
 //! * [`bench`] — the experiment layer: the thread-parallel [`Sweep`]
 //!   grid runner and the figure binaries' shared [`Harness`].
 //!
@@ -230,7 +231,7 @@
 //! ```
 //!
 //! The coordinator re-execs its own binary as workers, streams cell
-//! assignments over stdio (schema `rix-dispatch/1`), detects dead or
+//! assignments over stdio (schema `rix-dispatch/2`), detects dead or
 //! hung workers and retries their cells on survivors — and the merged
 //! trials are **byte-identical** to a single-process run for any worker
 //! count, fault history, or cache state, so `--workers`/`--cache` are
