@@ -6,13 +6,14 @@
 //! seed, warm-up policy); the coordinator ships the plan to every
 //! worker in the `init` message and assigns **cells** — bench-major
 //! grid indices, `cell = bench_idx * narms + arm_idx`, exactly
-//! [`crate::Sweep`]'s trial order. Workers rebuild programs and warm-up
-//! state lazily per benchmark row (including loading the same
-//! `rix-ckpt/1` snapshot files under [`crate::WarmupMode::Checkpoint`],
-//! program-hash-verified like the in-process path) and send back
+//! [`crate::Sweep`]'s trial order. A worker parses the plan back into a
+//! [`crate::Sweep`] and runs its cells on the same in-process engine as
+//! [`crate::Sweep::try_run`] — each benchmark row prepared once,
+//! including the program-hash-verified `rix-ckpt/1` snapshot under
+//! [`crate::WarmupMode::Checkpoint`] — and sends back
 //! losslessly-serialised [`rix_sim::RunResult`]s, so the merged trials
-//! are **byte-identical** to a single-process [`crate::Sweep::try_run`]
-//! for every worker count.
+//! are **byte-identical** to a single-process run for every worker
+//! count.
 //!
 //! ## The cache (`--cache DIR`)
 //!
@@ -34,14 +35,15 @@
 //!
 //! ## Peers (`--workers N`, `--listen ADDR`)
 //!
-//! Every run takes one path: consult the cache, send the misses to
-//! nobody (`workers == 0`), to `N` spawned worker processes
-//! ([`rix_dispatch::dispatch_cells`]) or to remote workers connecting
-//! on a TCP listener ([`rix_dispatch::serve_cells`]: `exp serve` + `exp
-//! worker --connect`, heartbeats and all), then finish whatever comes
-//! back unfinished in this process with the same `CellRunner`, and
-//! store every fresh result in the cache. The in-process run is simply
-//! the case where every miss comes back unfinished. A served run binds
+//! Every run takes one path, plain `exp run` included: consult the
+//! cache, send the misses to nobody (`workers == 0`), to `N` spawned
+//! worker processes ([`rix_dispatch::dispatch_cells`]) or to remote
+//! workers connecting on a TCP listener ([`rix_dispatch::serve_cells`]:
+//! `exp serve` + `exp worker --connect`, heartbeats and all), then run
+//! whatever comes back unfinished in this process on the sweep's
+//! threads — the engine [`crate::Sweep::try_run`] uses — and store
+//! every fresh result in the cache. The in-process run is simply the
+//! case where every miss comes back unfinished. A served run binds
 //! its listener (and announces it on stderr as `dispatch: listening on
 //! …`) before the cache lookup, so whoever waits for that line sees it
 //! even when every cell hits. Remote workers need no disk: they only
@@ -68,12 +70,10 @@
 //! they are set for (spawned workers inherit the coordinator's
 //! environment; remote workers have their own).
 
-use crate::{measure_cell, Harness, Sweep, Trial, WarmupMode};
+use crate::{Grid, Harness, Sweep, Trial, WarmupMode};
 use rix_dispatch::{PoolError, PoolSummary, ResultCache, WorkerStat, WORKER_ARG};
-use rix_isa::interp::Interp;
 use rix_isa::json::Json;
-use rix_isa::{ArchState, Program};
-use rix_sim::{Checkpoint, RunResult, SimConfig, StopWhen};
+use rix_sim::{RunResult, SimConfig, StopWhen};
 use rix_workloads::Benchmark;
 use std::net::TcpListener;
 use std::time::Duration;
@@ -324,19 +324,7 @@ fn emit_progress(p: CellProgress) {
     });
 }
 
-// ----- the worker-side plan ---------------------------------------------
-
-/// A parsed `rix-dispatch-plan/1`: everything a worker needs to run any
-/// cell of the grid.
-struct Plan {
-    benchmarks: Vec<Benchmark>,
-    arms: Vec<(String, SimConfig)>,
-    instructions: u64,
-    warmup: u64,
-    warmup_mode: WarmupMode,
-    seed: u64,
-    stop: Option<StopWhen>,
-}
+// ----- the plan ---------------------------------------------------------
 
 fn plan_json(sweep: &Sweep) -> Json {
     let mut fields: Vec<(String, Json)> = vec![
@@ -370,7 +358,9 @@ fn plan_json(sweep: &Sweep) -> Json {
     Json::Obj(fields)
 }
 
-fn plan_from_json(v: &Json) -> Result<Plan, String> {
+/// Parses a `rix-dispatch-plan/1` back into the [`Sweep`] it came from
+/// (run on one thread: a worker executes one cell at a time).
+fn plan_from_json(v: &Json) -> Result<Sweep, String> {
     match v.get("schema").and_then(Json::as_str) {
         Some(PLAN_SCHEMA) => {}
         other => return Err(format!("unsupported dispatch plan schema {other:?}")),
@@ -406,94 +396,28 @@ fn plan_from_json(v: &Json) -> Result<Plan, String> {
     if arms.is_empty() || benchmarks.is_empty() {
         return Err("dispatch plan has an empty grid".to_string());
     }
-    Ok(Plan {
-        benchmarks,
-        arms,
-        instructions: v.req_u64("instructions")?,
-        warmup: v.req_u64("warmup")?,
-        warmup_mode,
-        seed: v.req_u64("seed")?,
-        stop,
-    })
-}
-
-/// Executes plan cells with per-benchmark lazy state: the program is
-/// built — and the warm-up provenance (checkpoint load + program-hash
-/// verification, or one functional fast-forward) prepared — on the
-/// first cell of each row, then shared by the row's other cells. Kept
-/// outside the wall-clock timer, exactly like [`Sweep::try_run`]'s
-/// shared row work, so per-cell `wall` means the same thing in both.
-struct CellRunner {
-    plan: Plan,
-    programs: Vec<Option<Program>>,
-    ckpts: Vec<Option<Checkpoint>>,
-    warms: Vec<Option<ArchState>>,
-}
-
-impl CellRunner {
-    fn new(plan: Plan) -> Self {
-        let n = plan.benchmarks.len();
-        Self { plan, programs: vec![None; n], ckpts: vec![None; n], warms: vec![None; n] }
-    }
-
-    fn run(&mut self, cell: u64) -> Result<(RunResult, Duration), String> {
-        let narms = self.plan.arms.len();
-        let total = self.plan.benchmarks.len() * narms;
-        let i = usize::try_from(cell).ok().filter(|&i| i < total).ok_or_else(|| {
-            format!("cell {cell} is outside the plan's {total}-cell grid")
-        })?;
-        let (bi, ai) = (i / narms, i % narms);
-        let bench = self.plan.benchmarks[bi];
-        if self.programs[bi].is_none() {
-            self.programs[bi] = Some(bench.build(self.plan.seed));
-        }
-        let program = self.programs[bi].as_ref().ok_or("program slot just filled")?;
-        match &self.plan.warmup_mode {
-            WarmupMode::Checkpoint { dir } if self.ckpts[bi].is_none() => {
-                let path = crate::checkpoint_path(dir, bench.name, self.plan.seed);
-                let ck = Checkpoint::load(&path)
-                    .map_err(|e| format!("warm-up checkpoint for `{}`: {e}", bench.name))?;
-                if rix_sim::checkpoint::fingerprint(program) != ck.program_hash {
-                    return Err(format!(
-                        "warm-up checkpoint {} belongs to a different program than `{}` at \
-                         seed {} (wrong benchmark, or saved at another seed)",
-                        path.display(),
-                        bench.name,
-                        self.plan.seed,
-                    ));
-                }
-                self.ckpts[bi] = Some(ck);
-            }
-            WarmupMode::Functional if self.plan.warmup > 0 && self.warms[bi].is_none() => {
-                let stack_top = self.plan.arms[0].1.stack_top;
-                self.warms[bi] =
-                    Some(Interp::new(program, stack_top).fast_forward(self.plan.warmup));
-            }
-            _ => {}
-        }
-        let (_, cfg) = &self.plan.arms[ai];
-        let start = std::time::Instant::now();
-        let result = measure_cell(
-            program,
-            *cfg,
-            self.ckpts[bi].as_ref(),
-            self.warms[bi].as_ref(),
-            self.plan.warmup,
-            self.plan.stop.as_ref(),
-            self.plan.instructions,
-        );
-        Ok((result, start.elapsed()))
-    }
+    let mut sweep = Sweep::new()
+        .benchmarks(benchmarks)
+        .configs(arms)
+        .instructions(v.req_u64("instructions")?)
+        .warmup(v.req_u64("warmup")?)
+        .warmup_mode(warmup_mode)
+        .seed(v.req_u64("seed")?);
+    sweep.stop = stop;
+    Ok(sweep)
 }
 
 // ----- payloads ---------------------------------------------------------
 
+fn result_json(result: &RunResult) -> Result<Json, String> {
+    Json::parse(&rix_sim::checkpoint::result_to_json(result))
+}
+
 fn payload_json(result: &RunResult, wall: Duration) -> Result<Json, String> {
-    let r = Json::parse(&rix_sim::checkpoint::result_to_json(result))?;
     let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
     Ok(Json::Obj(vec![
         ("wall_us".into(), Json::Num(wall_us.to_string())),
-        ("result".into(), r),
+        ("result".into(), result_json(result)?),
     ]))
 }
 
@@ -551,8 +475,9 @@ fn cell_descriptor(
 
 // ----- the coordinator --------------------------------------------------
 
-/// Runs `sweep` under `opts`: consult the cache, [`simulate`] the
-/// misses, store fresh results back, and return the full trial grid in
+/// Runs `sweep` under `opts`: consult the cache, send the misses to the
+/// run's peers, finish what they leave in this process on the sweep's
+/// threads, store fresh results back, and return the full trial grid in
 /// [`Sweep::try_run`] order. See the [module docs](self).
 pub(crate) fn run_sweep_distributed(
     sweep: &Sweep,
@@ -592,20 +517,44 @@ pub(crate) fn run_sweep_distributed(
         }
         misses.push(i as u64);
     }
-    let progress = CellProgress { total, done: hits, cached: hits, degraded: 0 };
+    let mut progress = CellProgress { total, done: hits, cached: hits, degraded: 0 };
     emit_progress(progress);
+    // Host timing is not content: entries carry no wall clock.
+    let store = |i: usize, result: Json| match (&cache, &keys[i]) {
+        (Some(cache), Some(key)) => cache.store(key, &Json::Obj(vec![("result".into(), result)])),
+        _ => Ok(()),
+    };
 
-    let (payloads, summary) = simulate(sweep, opts, listener, &misses, progress)?;
-    for (&cell, payload) in misses.iter().zip(&payloads) {
+    let (payloads, summary) = send_to_peers(sweep, opts, listener, &misses)?;
+    let mut unfinished: Vec<usize> = Vec::new();
+    for (&cell, payload) in misses.iter().zip(payloads) {
         let i = cell as usize;
-        let (bi, ai) = (i / narms, i % narms);
-        if let (Some(cache), Some(key)) = (&cache, &keys[i]) {
-            // Host timing is not content: entries carry no wall clock.
-            let entry = Json::Obj(vec![("result".into(), payload.req("result")?.clone())]);
-            cache.store(key, &entry)?;
+        let Some(payload) = payload else {
+            unfinished.push(i);
+            continue;
+        };
+        let (bench, (label, _)) = (&sweep.benchmarks[i / narms], &sweep.configs[i % narms]);
+        trials[i] = Some(trial_from_payload(bench.name, label, &payload)?);
+        store(i, payload.req("result")?.clone())?;
+    }
+    if unfinished.len() < misses.len() {
+        progress.done += misses.len() - unfinished.len();
+        emit_progress(progress);
+    }
+    let remote = opts.workers > 0 || opts.listen.is_some();
+    if remote && !unfinished.is_empty() {
+        eprintln!("dispatch: finishing {} degraded cell(s) in-process", unfinished.len());
+    }
+    let finished = Grid::new(sweep.clone()).run_cells(&unfinished, || {
+        progress.done += 1;
+        progress.degraded += usize::from(remote);
+        emit_progress(progress);
+    })?;
+    for (i, trial) in unfinished.into_iter().zip(finished) {
+        if cache.is_some() {
+            store(i, result_json(&trial.result)?)?;
         }
-        trials[i] =
-            Some(trial_from_payload(sweep.benchmarks[bi].name, &sweep.configs[ai].0, payload)?);
+        trials[i] = Some(trial);
     }
 
     let trials = trials
@@ -639,20 +588,18 @@ fn listen(addr: &str) -> Result<TcpListener, String> {
     Ok(listener)
 }
 
-/// Simulates `misses`: sends them to the run's peers — remote workers
-/// on `listener`, `opts.workers` spawned processes, or nobody — then
-/// finishes whatever comes back unfinished in this process, through
-/// the same plan round trip the process boundary exercises. One payload
-/// per miss, in order.
-fn simulate(
+/// Sends `misses` to the run's peers — remote workers on `listener`,
+/// `opts.workers` spawned processes, or nobody — and returns one
+/// payload per miss, in order: `None` for each cell the peers left
+/// unfinished (every cell when there are no peers).
+fn send_to_peers(
     sweep: &Sweep,
     opts: &DispatchOptions,
     listener: Option<TcpListener>,
     misses: &[u64],
-    mut progress: CellProgress,
-) -> Result<(Vec<Json>, PoolSummary), String> {
-    if misses.is_empty() {
-        return Ok((Vec::new(), PoolSummary::default()));
+) -> Result<(Vec<Option<Json>>, PoolSummary), String> {
+    if misses.is_empty() || (listener.is_none() && opts.workers == 0) {
+        return Ok((vec![None; misses.len()], PoolSummary::default()));
     }
     // A failing cell is named in grid terms — `gcc/base (seed 7)`, not
     // `cell 0` — so a spent retry budget says which arm to investigate.
@@ -667,7 +614,7 @@ fn simulate(
         .to_string()
     };
     let plan = plan_json(sweep);
-    let (payloads, summary) = if let Some(listener) = listener {
+    if let Some(listener) = listener {
         let cfg = rix_dispatch::NetPoolConfig {
             cell_timeout: opts.cell_timeout,
             retries: opts.retries,
@@ -677,8 +624,8 @@ fn simulate(
             token: opts.token.clone(),
         };
         let out = rix_dispatch::serve_cells(listener, &plan, misses, &cfg).map_err(describe)?;
-        (out.payloads, out.summary)
-    } else if opts.workers > 0 {
+        Ok((out.payloads, out.summary))
+    } else {
         let pool = rix_dispatch::PoolConfig {
             workers: opts.workers,
             cell_timeout: opts.cell_timeout,
@@ -687,44 +634,8 @@ fn simulate(
         };
         let (payloads, summary) =
             rix_dispatch::dispatch_cells(&plan, misses, &pool).map_err(describe)?;
-        (payloads.into_iter().map(Some).collect(), summary)
-    } else {
-        (vec![None; misses.len()], PoolSummary::default())
-    };
-
-    let remote = opts.workers > 0 || opts.listen.is_some();
-    let unfinished = payloads.iter().filter(|p| p.is_none()).count();
-    if unfinished < misses.len() {
-        progress.done += misses.len() - unfinished;
-        emit_progress(progress);
+        Ok((payloads.into_iter().map(Some).collect(), summary))
     }
-    if remote && unfinished > 0 {
-        eprintln!("dispatch: finishing {unfinished} degraded cell(s) in-process");
-    }
-    let mut runner: Option<CellRunner> = None;
-    let payloads = misses
-        .iter()
-        .zip(payloads)
-        .map(|(&cell, payload)| {
-            if let Some(payload) = payload {
-                return Ok(payload);
-            }
-            if runner.is_none() {
-                let plan =
-                    plan_from_json(&plan).map_err(|e| format!("internal dispatch plan: {e}"))?;
-                runner = Some(CellRunner::new(plan));
-            }
-            let runner = runner.as_mut().ok_or("runner just initialised")?;
-            let (result, wall) = runner.run(cell)?;
-            progress.done += 1;
-            if remote {
-                progress.degraded += 1;
-            }
-            emit_progress(progress);
-            payload_json(&result, wall)
-        })
-        .collect::<Result<Vec<Json>, String>>()?;
-    Ok((payloads, summary))
 }
 
 /// Under checkpoint warm-up with a cache, each snapshot file's content
@@ -763,8 +674,8 @@ pub fn maybe_worker() {
 
 /// The worker serve loop over stdin/stdout (also reachable as the
 /// `exp worker` subcommand). Parses the plan from the `init` message on
-/// the first cell, executes every assigned cell via the shared
-/// [`measure_cell`] path, and reports lossless results.
+/// the first cell, executes every assigned cell on the same engine as
+/// [`Sweep::try_run`], and reports lossless results.
 pub fn worker_main() -> ! {
     rix_dispatch::serve(cell_executor())
 }
@@ -781,18 +692,18 @@ pub fn worker_connect_main(addr: &str, name: Option<&str>) -> ! {
     std::process::exit(code)
 }
 
-/// The executor both worker entry points run: builds a [`CellRunner`]
-/// from the plan in `init` on the first cell, then runs each assigned
-/// cell into a result payload.
+/// The executor both worker entry points run: builds a [`Grid`] from
+/// the plan in `init` on the first cell, then runs each assigned cell
+/// into a result payload.
 fn cell_executor() -> impl FnMut(&Json, u64) -> Result<Json, String> {
-    let mut runner: Option<CellRunner> = None;
+    let mut grid: Option<Grid> = None;
     move |init, cell| {
-        if runner.is_none() {
-            runner = Some(CellRunner::new(plan_from_json(init.req("plan")?)?));
+        if grid.is_none() {
+            grid = Some(Grid::new(plan_from_json(init.req("plan")?)?));
         }
-        let runner = runner.as_mut().ok_or("runner just initialised")?;
-        let (result, wall) = runner.run(cell)?;
-        payload_json(&result, wall)
+        let grid = grid.as_ref().ok_or("grid just initialised")?;
+        let trial = grid.run(usize::try_from(cell).unwrap_or(usize::MAX))?;
+        payload_json(&trial.result, trial.wall)
     }
 }
 
@@ -837,15 +748,60 @@ mod tests {
         let sweep = small_sweep();
         let reference = sweep.try_run().expect("sweep runs");
         let plan = plan_from_json(&plan_json(&sweep)).expect("round trip");
-        assert_eq!(plan.arms.len(), 2);
+        assert_eq!(plan.configs.len(), 2);
         assert_eq!(plan.benchmarks.len(), 2);
-        let mut runner = CellRunner::new(plan);
+        let grid = Grid::new(plan);
         for (i, t) in reference.iter().enumerate() {
-            let (result, _) = runner.run(i as u64).expect("cell runs");
-            assert_eq!(result, t.result, "cell {i} ({}/{})", t.bench, t.config_label);
+            let trial = grid.run(i).expect("cell runs");
+            assert_eq!(trial.result, t.result, "cell {i} ({}/{})", t.bench, t.config_label);
         }
-        let err = runner.run(99).unwrap_err();
+        let err = grid.run(99).unwrap_err();
         assert!(err.contains("outside"), "{err}");
+    }
+
+    /// Runs `sweep` through the cache inside a progress hook and checks
+    /// the trials against a serial run and the progress against the
+    /// grid: `done` never falls, rises by one per simulated cell, and
+    /// ends at `total`.
+    fn check_threaded_cached_run(sweep: &Sweep, tag: &str) {
+        let dir = std::env::temp_dir()
+            .join(format!("rix-dispatch-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DispatchOptions {
+            cache: Some(dir.to_str().expect("utf-8 temp dir").to_string()),
+            ..DispatchOptions::default()
+        };
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::<CellProgress>::new()));
+        let sink = std::sync::Arc::clone(&seen);
+        let (trials, report) = with_cell_progress(
+            Box::new(move |p| sink.lock().unwrap().push(p)),
+            || sweep.clone().threads(3).run_distributed(&opts),
+        )
+        .expect("threaded cached run");
+        let serial = sweep.clone().threads(1).try_run().expect("serial run");
+        assert_eq!(trials.len(), serial.len());
+        for (a, b) in serial.iter().zip(&trials) {
+            assert_eq!(a.to_json(), b.to_json(), "{}/{}", a.bench, a.config_label);
+        }
+        assert_eq!((report.simulated, report.cache_hits), (serial.len(), 0));
+
+        let seen = seen.lock().unwrap();
+        let total = serial.len();
+        assert!(seen.iter().all(|p| p.total == total && p.cached == 0), "{seen:?}");
+        assert!(seen.windows(2).all(|w| w[0].done <= w[1].done), "{seen:?}");
+        let rises = seen.windows(2).filter(|w| w[1].done > w[0].done).count();
+        assert!(seen.windows(2).all(|w| w[1].done <= w[0].done + 1), "{seen:?}");
+        assert_eq!(rises, total, "one rise per cell: {seen:?}");
+        assert_eq!(seen.first().map(|p| p.done), Some(0));
+        assert_eq!(seen.last().map(|p| p.done), Some(total));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threaded_cached_run_matches_serial_and_counts_each_cell() {
+        check_threaded_cached_run(&small_sweep(), "threaded");
+        let functional = small_sweep().warmup(3_000).warmup_mode(WarmupMode::Functional);
+        check_threaded_cached_run(&functional, "threaded-functional");
     }
 
     #[test]

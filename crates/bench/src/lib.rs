@@ -44,13 +44,13 @@ pub use dispatch::{CellProgress, DispatchOptions, DispatchReport};
 pub use space::{Axis, AxisValue, ParamSpace};
 pub use spec::ExperimentSpec;
 
-use rix_integration::IntegrationConfig;
 use rix_isa::interp::Interp;
+use rix_isa::json::Json;
 use rix_isa::{ArchState, Program};
 use rix_sim::{Checkpoint, RunResult, SimConfig, Simulator, StopWhen};
 use rix_workloads::Benchmark;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, OnceLock};
 
 /// How a [`Sweep`] executes its warm-up phase.
 ///
@@ -385,12 +385,6 @@ impl Harness {
             .collect()
     }
 
-    /// Runs `program` under `cfg` for the configured instruction budget.
-    #[must_use]
-    pub fn run(&self, program: &Program, cfg: SimConfig) -> RunResult {
-        Simulator::new(program, cfg).run(self.instructions)
-    }
-
     /// A [`Sweep`] over the selected benchmarks with this harness's
     /// instruction budget, seed, thread count and warm-up settings; add
     /// configs and run.
@@ -403,6 +397,24 @@ impl Harness {
             .threads(self.threads)
             .warmup(self.warmup)
             .warmup_mode(self.warmup_mode.clone())
+    }
+
+    /// Runs `sweep` the way this command line asks: through the trial
+    /// cache and the worker peers that `--cache`, `--workers` and
+    /// `--listen` name, and in this process on [`Harness::threads`]
+    /// otherwise (see [`dispatch`]). When the run used any of those, the
+    /// `dispatch:` summary goes to stderr; `--verbose` adds the
+    /// per-worker table.
+    pub fn run_sweep(&self, sweep: &Sweep) -> Result<(Vec<Trial>, DispatchReport), String> {
+        let opts = DispatchOptions::from_harness(self);
+        let (trials, report) = sweep.run_distributed(&opts)?;
+        if opts.cache.is_some() || opts.workers > 0 || opts.listen.is_some() {
+            eprintln!("dispatch: {}", report.summary());
+        }
+        if self.verbose {
+            eprint!("{}", report.worker_table());
+        }
+        Ok((trials, report))
     }
 
     /// The shared JSON output behaviour of the figure binaries: writes
@@ -439,10 +451,10 @@ pub struct Trial {
     pub result: RunResult,
     /// Wall-clock time this cell's simulation took (construction, warm-up
     /// and measurement; excludes work shared across a grid row — program
-    /// generation, and the per-benchmark interpreter fast-forward under
-    /// [`WarmupMode::Functional`]). Deliberately excluded from
-    /// [`Trial::to_json`] so the `--json` figure output stays
-    /// deterministic.
+    /// generation, the checkpoint load under [`WarmupMode::Checkpoint`]
+    /// and the interpreter fast-forward under [`WarmupMode::Functional`]).
+    /// Deliberately excluded from [`Trial::to_json`] so the `--json`
+    /// figure output stays deterministic.
     pub wall: std::time::Duration,
 }
 
@@ -462,10 +474,11 @@ impl Trial {
     /// JSON object for this trial record.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let quote = |s: &str| Json::Str(s.to_string()).dump();
         format!(
-            r#"{{"bench":"{}","config":"{}","result":{}}}"#,
-            json_escape(self.bench),
-            json_escape(&self.config_label),
+            r#"{{"bench":{},"config":{},"result":{}}}"#,
+            quote(self.bench),
+            quote(&self.config_label),
             self.result.to_json()
         )
     }
@@ -494,7 +507,6 @@ pub fn result_doc(
     cache: Option<&DispatchReport>,
     dispatch: Option<&DispatchReport>,
 ) -> String {
-    use rix_isa::json::Json;
     let mut sections = cache.map_or_else(String::new, |r| {
         format!("\n  \"cache\":{{\"hits\":{},\"misses\":{}}},", r.cache_hits, r.simulated)
     });
@@ -511,84 +523,172 @@ pub fn result_doc(
     )
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// One benchmark row's shared state, prepared once per [`Grid`]: the
+/// program and its warm-up provenance — a loaded, program-hash-verified
+/// checkpoint under [`WarmupMode::Checkpoint`], or the interpreter
+/// fast-forward under [`WarmupMode::Functional`].
+struct Row {
+    program: Program,
+    ckpt: Option<Checkpoint>,
+    warm: Option<ArchState>,
 }
 
-/// One grid cell's construction, warm-up and measurement — the code
-/// shared by [`Sweep::try_run`]'s in-process workers and the
-/// multi-process [`dispatch`] workers, so a cell's result is
+/// A sweep's cells, ready to run in this process — the one engine
+/// behind [`Sweep::try_run`], the [`dispatch`] worker executor and the
+/// in-process finish of a distributed run, so a cell's result is
 /// byte-identical however it is executed.
 ///
-/// Exactly one warm-up provenance applies, in precedence order:
-/// a checkpoint fork (`ckpt`), a functional fast-forward fork (`warm`),
-/// a detailed per-cell warm-up (`warmup > 0`), or a cold start.
-pub(crate) fn measure_cell(
-    program: &Program,
-    cfg: SimConfig,
-    ckpt: Option<&Checkpoint>,
-    warm: Option<&ArchState>,
-    warmup: u64,
-    stop: Option<&StopWhen>,
-    instructions: u64,
-) -> RunResult {
-    // The per-cell measurement interval: the stop condition when one is
-    // set, the canonical instruction budget otherwise.
-    let measure = |sim: &mut Simulator| -> RunResult {
-        match stop {
-            Some(stop) => {
-                sim.run_until(stop);
-                sim.result()
+/// Each benchmark row is prepared once, by the first of its cells to
+/// run, and shared read-only by the row's other cells on every thread.
+/// Preparation is shared work, so it stays outside each trial's `wall`.
+pub(crate) struct Grid {
+    sweep: Sweep,
+    rows: Vec<OnceLock<Result<Row, String>>>,
+}
+
+impl Grid {
+    pub(crate) fn new(sweep: Sweep) -> Self {
+        let rows = sweep.benchmarks.iter().map(|_| OnceLock::new()).collect();
+        Self { sweep, rows }
+    }
+
+    /// Builds row `bi`'s program and its warm-up provenance.
+    fn prepare(&self, bi: usize) -> Result<Row, String> {
+        let s = &self.sweep;
+        let bench = s.benchmarks[bi];
+        let program = bench.build(s.seed);
+        let mut row = Row { program, ckpt: None, warm: None };
+        match &s.warmup_mode {
+            WarmupMode::Checkpoint { dir } => {
+                let path = checkpoint_path(dir, bench.name, s.seed);
+                let ck = Checkpoint::load(&path)
+                    .map_err(|e| format!("warm-up checkpoint for `{}`: {e}", bench.name))?;
+                if rix_sim::checkpoint::fingerprint(&row.program) != ck.program_hash {
+                    return Err(format!(
+                        "warm-up checkpoint {} belongs to a different program than `{}` at \
+                         seed {} (wrong benchmark, or saved at another seed)",
+                        path.display(),
+                        bench.name,
+                        s.seed
+                    ));
+                }
+                row.ckpt = Some(ck);
             }
-            None => sim.run_budget(instructions),
+            // Every config arm of the row forks from this one snapshot.
+            WarmupMode::Functional if s.warmup > 0 => {
+                let stack_top = s.configs[0].1.stack_top;
+                row.warm = Some(Interp::new(&row.program, stack_top).fast_forward(s.warmup));
+            }
+            WarmupMode::Functional | WarmupMode::Detailed => {}
         }
-    };
-    if let Some(ck) = ckpt {
-        // Fork the arm from the saved snapshot (cold microarchitecture
-        // at the checkpoint boundary) and measure fresh from there.
-        let mut sim = Simulator::from_checkpoint(program, cfg, ck);
-        sim.reset_stats();
-        measure(&mut sim)
-    } else if let Some(state) = warm {
-        // Boot the detailed machine at the fast-forwarded architectural
-        // boundary (cold microarchitecture) and measure from there.
-        let mut sim = Simulator::from_arch_state(program, cfg, state);
-        measure(&mut sim)
-    } else if warmup == 0 {
-        if stop.is_none() {
-            // The exact one-shot path, so a warm-up-free sweep is
-            // byte-identical to the historical serial loops.
-            Simulator::new(program, cfg).run(instructions)
-        } else {
-            measure(&mut Simulator::new(program, cfg))
+        Ok(row)
+    }
+
+    /// Runs grid cell `cell` (bench-major: `bench_idx * narms +
+    /// arm_idx`), preparing its row first if no earlier cell did.
+    pub(crate) fn run(&self, cell: usize) -> Result<Trial, String> {
+        let narms = self.sweep.configs.len();
+        let total = self.rows.len() * narms;
+        if cell >= total {
+            return Err(format!("cell {cell} is outside the {total}-cell grid"));
         }
-    } else {
-        let mut sim = Simulator::new(program, cfg);
-        // Budget safety nets on both phases, so a cell that crawls
-        // without deadlocking cannot hang the sweep.
-        sim.run_until(&StopWhen::budget(warmup));
-        sim.reset_stats();
-        measure(&mut sim)
+        let (bi, ai) = (cell / narms, cell % narms);
+        let row = self.rows[bi].get_or_init(|| self.prepare(bi)).as_ref().map_err(Clone::clone)?;
+        let (label, cfg) = &self.sweep.configs[ai];
+        let start = std::time::Instant::now();
+        let result = measure_cell(&self.sweep, row, *cfg);
+        let wall = start.elapsed();
+        let bench = self.sweep.benchmarks[bi].name;
+        Ok(Trial { bench, config_label: label.clone(), result, wall })
+    }
+
+    /// Runs `cells` on the sweep's thread count and returns their
+    /// trials in the order given. Threads pull cells from a shared
+    /// queue, so a slow cell does not hold up the rest of its row, and
+    /// send each trial back to this thread, which calls `done` once per
+    /// finished cell — progress hooks are thread-local.
+    pub(crate) fn run_cells(
+        &self,
+        cells: &[usize],
+        mut done: impl FnMut(),
+    ) -> Result<Vec<Trial>, String> {
+        let threads = self.sweep.threads.max(1).min(cells.len());
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let (tx, next) = (tx.clone(), &next);
+                scope.spawn(move || loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&cell) = cells.get(k) else { break };
+                    // A closed channel means the caller gave up on an error.
+                    if tx.send((k, self.run(cell))).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            let mut slots: Vec<Option<Trial>> = vec![None; cells.len()];
+            for (k, trial) in rx {
+                slots[k] = Some(trial?);
+                done();
+            }
+            Ok(slots.into_iter().map(|t| t.expect("every cell reports once")).collect())
+        })
     }
 }
 
-/// A declarative experiment over the (benchmark × config) grid,
-/// fanned out over a `std::thread` worker pool.
+/// One grid cell's construction, warm-up and measurement on its
+/// prepared row.
 ///
-/// Workers pull grid cells from a shared queue, so a slow cell (a big
-/// benchmark under an expensive config) does not hold up the rest of
-/// its row. Results come back as [`Trial`] records in deterministic
-/// bench-major grid order — identical for every thread count, because
-/// each cell's simulation is independent and seeded.
+/// Exactly one warm-up provenance applies, in precedence order:
+/// a checkpoint fork, a functional fast-forward fork, a detailed
+/// per-cell warm-up (`warmup > 0`), or a cold start. The measurement
+/// interval is the sweep's stop condition when one is set, its
+/// instruction budget otherwise.
+fn measure_cell(sweep: &Sweep, row: &Row, cfg: SimConfig) -> RunResult {
+    let mut sim = if let Some(ck) = &row.ckpt {
+        // Fork the arm from the saved snapshot (cold microarchitecture
+        // at the checkpoint boundary) and measure fresh from there.
+        let mut sim = Simulator::from_checkpoint(&row.program, cfg, ck);
+        sim.reset_stats();
+        sim
+    } else if let Some(state) = &row.warm {
+        // Boot the detailed machine at the fast-forwarded architectural
+        // boundary (cold microarchitecture) and measure from there.
+        Simulator::from_arch_state(&row.program, cfg, state)
+    } else {
+        let mut sim = Simulator::new(&row.program, cfg);
+        if sweep.warmup > 0 {
+            // Budget safety nets on both phases, so a cell that crawls
+            // without deadlocking cannot hang the sweep.
+            sim.run_until(&StopWhen::budget(sweep.warmup));
+            sim.reset_stats();
+        }
+        sim
+    };
+    match &sweep.stop {
+        Some(stop) => {
+            sim.run_until(stop);
+            sim.result()
+        }
+        None => sim.run_budget(sweep.instructions),
+    }
+}
+
+/// A declarative experiment over the (benchmark × config) grid.
+///
+/// Every cell that runs in this process runs on one engine:
+/// [`Sweep::try_run`] sends it every cell, and
+/// [`Sweep::run_distributed`] sends it whatever the trial cache and the
+/// worker processes leave over. It spreads the cells over
+/// [`Sweep::threads`] threads that pull from a shared queue, so a slow
+/// cell (a big benchmark under an expensive config) does not hold up
+/// the rest of its row, and prepares each benchmark row (program,
+/// checkpoint or functional fast-forward) once for all of its cells.
+/// Results come back as [`Trial`] records in deterministic bench-major
+/// grid order — identical for every thread count, because each cell's
+/// simulation is independent and seeded.
 ///
 /// ```
 /// use rix_bench::Sweep;
@@ -829,7 +929,8 @@ impl Sweep {
 
     /// Runs the sweep through the multi-process [`dispatch`] layer:
     /// cells are sharded across [`DispatchOptions::workers`] worker
-    /// processes (0 runs them in this process) after consulting the
+    /// processes (0 runs them in this process, on [`Sweep::threads`]
+    /// threads like [`Sweep::try_run`]) after consulting the
     /// content-addressed trial cache when one is configured. The trials
     /// are byte-identical to [`Sweep::try_run`]'s for every worker
     /// count and cache state; the [`DispatchReport`] says what was
@@ -856,124 +957,14 @@ impl Sweep {
 
     /// As [`Sweep::run`], but an invalid sweep — or a missing or
     /// mismatched [`WarmupMode::Checkpoint`] file — returns a
-    /// descriptive error instead of panicking.
+    /// descriptive error instead of panicking. A row's checkpoint is
+    /// loaded when the row's first cell runs;
+    /// [`Sweep::run_distributed`] also checks every file up front.
     pub fn try_run(&self) -> Result<Vec<Trial>, String> {
         self.validate()?;
-        let ncfg = self.configs.len();
-        let total = self.benchmarks.len() * ncfg;
-        // Build each benchmark's program once; the cells of its grid
-        // row share it read-only across workers.
-        let programs: Vec<Program> =
-            self.benchmarks.iter().map(|b| b.build(self.seed)).collect();
-        // Checkpoint warm-up: load one saved snapshot per benchmark row
-        // up front (serial — loads are cheap next to simulation), so a
-        // missing or mismatched file fails the whole sweep with a
-        // nameable error before any cell runs.
-        let ckpts: Vec<Option<Checkpoint>> =
-            if let WarmupMode::Checkpoint { dir } = &self.warmup_mode {
-                self.benchmarks
-                    .iter()
-                    .zip(&programs)
-                    .map(|(b, p)| {
-                        let path = checkpoint_path(dir, b.name, self.seed);
-                        let ck = Checkpoint::load(&path).map_err(|e| {
-                            format!("warm-up checkpoint for `{}`: {e}", b.name)
-                        })?;
-                        if rix_sim::checkpoint::fingerprint(p) != ck.program_hash {
-                            return Err(format!(
-                                "warm-up checkpoint {} belongs to a different program than \
-                                 `{}` at seed {} (wrong benchmark, or saved at another seed)",
-                                path.display(),
-                                b.name,
-                                self.seed
-                            ));
-                        }
-                        Ok(Some(ck))
-                    })
-                    .collect::<Result<_, String>>()?
-            } else {
-                vec![None; programs.len()]
-            };
-        // Functional warm-up: fast-forward each (benchmark, seed) once
-        // through the interpreter; every config arm of the row forks
-        // from the shared snapshot. The fast-forward itself is shared
-        // work and therefore — like program generation — excluded from
-        // the per-cell wall clock.
-        let functional = self.warmup > 0 && self.warmup_mode == WarmupMode::Functional;
-        let warm_states: Vec<Option<ArchState>> = if functional {
-            let stack_top = self.configs[0].1.stack_top;
-            // The per-benchmark fast-forwards are independent, so they
-            // use the sweep's thread budget too (statically partitioned
-            // — interpreter warm-ups are near-uniform in cost): without
-            // this, serial warm-up would bound a wide sweep's speedup.
-            let mut states: Vec<Option<ArchState>> = vec![None; programs.len()];
-            let workers = self.threads.max(1).min(programs.len());
-            let chunk = programs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (progs, slots) in programs.chunks(chunk).zip(states.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (p, slot) in progs.iter().zip(slots) {
-                            *slot = Some(Interp::new(p, stack_top).fast_forward(self.warmup));
-                        }
-                    });
-                }
-            });
-            states
-        } else {
-            vec![None; programs.len()]
-        };
-        let run_cell = |i: usize| -> Trial {
-            let bench = self.benchmarks[i / ncfg];
-            let (label, cfg) = &self.configs[i % ncfg];
-            let program = &programs[i / ncfg];
-            let start = std::time::Instant::now();
-            let result = measure_cell(
-                program,
-                *cfg,
-                ckpts[i / ncfg].as_ref(),
-                warm_states[i / ncfg].as_ref(),
-                self.warmup,
-                self.stop.as_ref(),
-                self.instructions,
-            );
-            let wall = start.elapsed();
-            Trial { bench: bench.name, config_label: label.clone(), result, wall }
-        };
-        let threads = self.threads.max(1).min(total);
-        if threads == 1 {
-            return Ok((0..total).map(run_cell).collect());
-        }
-        // Shared work queue: an atomic cursor over the grid; each
-        // worker claims the next cell and writes its own result slot.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Trial>>> = (0..total).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let trial = run_cell(i);
-                    *slots[i].lock().expect("result slot never poisoned") = Some(trial);
-                });
-            }
-        });
-        Ok(slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot never poisoned")
-                    .expect("every cell was claimed and completed")
-            })
-            .collect())
+        let cells: Vec<usize> = (0..self.benchmarks.len() * self.configs.len()).collect();
+        Grid::new(self.clone()).run_cells(&cells, || {})
     }
-}
-
-/// The four Figure 4 extension arms (name, config).
-#[must_use]
-pub fn figure4_arms() -> Vec<(&'static str, IntegrationConfig)> {
-    IntegrationConfig::figure4_arms()
 }
 
 /// Percentage speedup of `x` over `base` IPC.
@@ -1287,7 +1278,9 @@ mod tests {
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.contains(r#""bench":"bzip2""#));
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        let mut odd = trials[0].clone();
+        odd.config_label = "a\"b\\c\n".into();
+        assert!(odd.to_json().contains(r#""config":"a\"b\\c\u000a""#), "{}", odd.to_json());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! Execution always routes through the distributed dispatcher with the
 //! store's trial cache, so identical *cells* (not just identical specs)
-//! dedup across runs and across restarts. The stored result document is
+//! dedup across runs and across restarts; misses run on the engine's
+//! threads exactly as in `exp run --cache`. The stored result document is
 //! built with **no** `cache` or `dispatch` sections — byte-identical to
 //! `exp run --json` on the same spec, which is the service's
-//! re-serve-exactly guarantee; the structured [`DispatchReport`] is
+//! re-serve-exactly guarantee; the structured [`DispatchReport`](crate::DispatchReport) is
 //! returned separately for the run-status endpoint.
 
 use crate::dispatch::{with_cell_progress, CellProgress};
@@ -26,8 +27,8 @@ use rix_serve::{Engine, Progress, RunOutput, SpecInfo};
 /// the same execution resources.
 #[derive(Clone, Debug, Default)]
 pub struct ExpEngine {
-    /// Worker threads per run (in-process sweep parallelism; 0 or 1 =
-    /// serial).
+    /// Worker threads per run: the cache misses no worker process or
+    /// remote worker takes run on this many threads (0 or 1 = serial).
     pub threads: usize,
     /// Worker processes per run (0 = in-process execution).
     pub workers: usize,

@@ -330,28 +330,16 @@ impl ExperimentSpec {
 
     /// Parses an embedded spec, applies the harness overrides, and runs
     /// it on the shared engine — the whole body of a spec-driven figure
-    /// binary. `--workers`/`--cache`/`--listen` route through the
-    /// distributed dispatcher (trials stay byte-identical; the dispatch
-    /// summary goes to stderr). Prints the error and exits with status
-    /// 2 when the spec is invalid (a broken committed spec) or the
-    /// sweep fails.
+    /// binary, through [`Harness::run_sweep`] (trials stay byte-identical
+    /// under `--workers`/`--cache`/`--listen`; the dispatch summary goes
+    /// to stderr). Prints the error and exits with status 2 when the
+    /// spec is invalid (a broken committed spec) or the sweep fails.
     #[must_use]
     pub fn run_embedded(text: &str, h: &Harness) -> (Self, Vec<Trial>) {
         let run = || -> Result<(Self, Vec<Trial>), String> {
             let mut spec = Self::from_json(text)?;
             spec.apply_harness(h);
-            let sweep = spec.sweep(h);
-            let trials = if h.workers > 0 || h.cache.is_some() || h.listen.is_some() {
-                let (trials, report) =
-                    sweep.run_distributed(&crate::DispatchOptions::from_harness(h))?;
-                eprintln!("dispatch: {}", report.summary());
-                if h.verbose {
-                    eprint!("{}", report.worker_table());
-                }
-                trials
-            } else {
-                sweep.try_run()?
-            };
+            let (trials, _) = h.run_sweep(&spec.sweep(h))?;
             Ok((spec, trials))
         };
         match run() {

@@ -642,5 +642,16 @@ fn dispatch_stats_flag_adds_worker_stats_to_the_document() {
 
     // The section is additive: trials (and thus the science) unchanged.
     assert_eq!(trials_of(&plain), trials_of(&stats));
+
+    // An in-process run reports too: every cell simulated, no workers.
+    let local = run_json(&["--dispatch-stats"], &[], &spec);
+    let doc = Json::parse(&local).expect("parses");
+    let dispatch = doc.req("dispatch").expect("dispatch section present in-process");
+    assert_eq!(dispatch.req_u64("cells").expect("cells"), 4);
+    assert_eq!(dispatch.req_u64("simulated").expect("simulated"), 4);
+    assert_eq!(dispatch.req_u64("workers_spawned").expect("workers_spawned"), 0);
+    let workers = dispatch.req("workers").expect("per-worker stats").as_arr().expect("array");
+    assert!(workers.is_empty(), "no workers in-process");
+    assert_eq!(trials_of(&plain), trials_of(&local));
     let _ = std::fs::remove_dir_all(&dir);
 }

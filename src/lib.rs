@@ -235,9 +235,11 @@
 //! hung workers and retries their cells on survivors — and the merged
 //! trials are **byte-identical** to a single-process run for any worker
 //! count, fault history, or cache state, so `--workers`/`--cache` are
-//! pure execution policy, never methodology. The same machinery is
-//! callable from code ([`DispatchOptions::workers`]` = 0` executes
-//! in-process, still through the cache):
+//! pure execution policy, never methodology. Without `--workers`,
+//! every miss runs in-process on the same engine as a plain run, on
+//! `--threads` threads. The same machinery is callable from code
+//! ([`DispatchOptions::workers`]` = 0` executes in-process, on the
+//! sweep's threads, still through the cache):
 //!
 //! ```
 //! use rix::prelude::*;
