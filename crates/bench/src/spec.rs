@@ -905,8 +905,13 @@ mod tests {
 
         for (overrides, msg) in [
             (r#"{"num_pregs": 100}"#, "num_pregs"),
+            (r#"{"num_pregs": 65536}"#, "num_pregs = 65536 exceeds the limit of 65535"),
             (r#"{"mem": {"l1d": {"ways": 0}}}"#, "way"),
             (r#"{"integration": {"it_entries": 96}}"#, "IT"),
+            (
+                r#"{"integration": {"it_entries": 4294967296, "it_ways": 4294967296}}"#,
+                "IT slot ids are 32-bit",
+            ),
             (r#"{"integration": {"gen_bits": 11}}"#, "gen_bits"),
         ] {
             let spec = ExperimentSpec::from_json(&format!(

@@ -352,6 +352,23 @@ fn dry_run_names_missing_checkpoint_files() {
 }
 
 #[test]
+fn dry_run_rejects_register_ids_beyond_16_bits() {
+    SimConfig::default().with_pregs(65_535).validate().expect("the largest 16-bit file builds");
+    let dir = scratch("pregs");
+    let spec = write_spec(
+        &dir,
+        r#"{"schema": "rix-exp/1", "benchmarks": ["gcc"], "instructions": 2000,
+            "arms": [{"label": "huge", "preset": "plus_reverse",
+                      "overrides": {"num_pregs": 65536}}]}"#,
+    );
+    let out = exp(&["run", &spec, "--dry-run"], &[]);
+    assert!(!out.status.success(), "a dry run of an unbuildable arm fails");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("num_pregs = 65536 exceeds the limit of 65535"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn harness_parses_the_dispatch_flags() {
     let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
     let h = Harness::try_parse(args("--workers 4 --cache /tmp/c")).expect("parses");

@@ -249,7 +249,8 @@ impl IntegrationConfig {
 
     /// Checks that the machinery can actually be built (the IT, LISP
     /// and reference-vector constructors would panic otherwise):
-    /// buildable IT geometry with a power-of-two set count, buildable
+    /// buildable IT geometry with a power-of-two set count and at most
+    /// [`crate::It::MAX_ENTRIES`] entries, buildable
     /// LISP geometry, and 1–8-bit counters. Checked even when
     /// `enabled` is false — the simulator constructs the structures
     /// either way.
@@ -259,6 +260,13 @@ impl IntegrationConfig {
             return Err(format!(
                 "bad IT geometry: {} entries must be a non-zero multiple of {} ways",
                 self.it_entries, self.it_ways
+            ));
+        }
+        if self.it_entries > crate::It::MAX_ENTRIES {
+            return Err(format!(
+                "it_entries = {} exceeds the limit of {} (IT slot ids are 32-bit)",
+                self.it_entries,
+                crate::It::MAX_ENTRIES
             ));
         }
         if !(self.it_entries / ways).is_power_of_two() {

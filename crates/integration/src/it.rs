@@ -15,6 +15,12 @@
 //! generation counters alongside every physical register specifier so
 //! stale entries fail the match (§2.2).
 //!
+//! The table is modelled at the cost of the hardware's parallel tag
+//! compare, not of a way-by-way scan: a hash index over the valid slots
+//! finds the matching way, and a linked list per set keeps LRU order, so
+//! every operation costs about the same host time at any associativity (see
+//! [`It`]).
+//!
 //! Conditional branches have no output register; their entries record the
 //! resolved *outcome* instead ([`ItOutput::Branch`]), created at execution
 //! time. Because an entry only matches when the input `(preg, gen)` pair
@@ -110,6 +116,9 @@ type SlotTag = (u64, u64);
 
 const INVALID_TAG: u64 = u64::MAX;
 
+/// The null slot id: an empty index bucket, or either end of an LRU list.
+const NIL: u32 = u32::MAX;
+
 /// Packs `op`/`has_imm`/`imm` into the one-compare opcode-indexing tag.
 fn pack_od_tag(op: Opcode, has_imm: bool, imm: i32) -> u64 {
     u64::from(op.code()) | (u64::from(has_imm) << 8) | (u64::from(imm as u32) << 16)
@@ -122,6 +131,114 @@ fn pack_inputs(in1: Option<PregRef>, in2: Option<PregRef>) -> u64 {
         r.map_or(u64::from(u32::MAX), |r| u64::from(r.preg) | (u64::from(r.gen) << 16))
     };
     enc(in1) | (enc(in2) << 32)
+}
+
+/// The slot index's tag word under PC indexing, where the tag is the
+/// PC and the opcode.
+fn pc_tag(pc: InstAddr, op: Opcode) -> u64 {
+    pc ^ (u64::from(op.code()) << 56)
+}
+
+/// The set `key` indexes under `scheme` in a table of `num_sets` sets.
+fn set_of(scheme: IndexScheme, num_sets: usize, key: &ItKey) -> usize {
+    let mask = num_sets - 1;
+    match scheme {
+        IndexScheme::Pc => (key.pc as usize) & mask,
+        IndexScheme::OpcodeDepth => {
+            // §2.3: XOR of opcode, immediate and call depth — raw,
+            // as the paper describes. The XOR's clumpy distribution
+            // (ldq/0, addq/1, …) is part of what the paper measures;
+            // the call depth is the structured disambiguator, and
+            // because stack displacements are 8-byte aligned while
+            // the depth occupies the low bits, frame slots and call
+            // levels compose into distinct sets.
+            let imm_bits = if key.has_imm { key.imm as u32 as u64 } else { u64::MAX };
+            let h = u64::from(key.op.code()) ^ imm_bits ^ u64::from(key.call_depth);
+            (h as usize) & mask
+        }
+    }
+}
+
+impl ItEntry {
+    /// The key this entry answers (its tag fields and inputs).
+    fn key(&self) -> ItKey {
+        ItKey {
+            pc: self.pc,
+            op: self.op,
+            has_imm: self.has_imm,
+            imm: self.imm,
+            call_depth: self.call_depth,
+            in1: self.in1,
+            in2: self.in2,
+        }
+    }
+
+    /// The direct entry `key`'s instruction creates.
+    fn direct(key: ItKey, out: ItOutput, creator_seq: u64) -> Self {
+        Self {
+            pc: key.pc,
+            op: key.op,
+            has_imm: key.has_imm,
+            imm: key.imm,
+            call_depth: key.call_depth,
+            in1: key.in1,
+            in2: key.in2,
+            out,
+            reverse: false,
+            creator_seq,
+        }
+    }
+
+    /// The reverse entry of a renamed store (see
+    /// [`It::insert_reverse_store`]).
+    fn reverse_store(
+        pc: InstAddr,
+        instr: Instr,
+        call_depth: u16,
+        base: PregRef,
+        data: PregRef,
+        creator_seq: u64,
+    ) -> Option<Self> {
+        let load_op = instr.op.inverse()?;
+        Some(Self {
+            pc,
+            op: load_op,
+            has_imm: true,
+            imm: instr.disp,
+            call_depth,
+            in1: Some(base),
+            in2: None,
+            out: ItOutput::Value(data),
+            reverse: true,
+            creator_seq,
+        })
+    }
+
+    /// The reverse entry of a renamed immediate add (see
+    /// [`It::insert_reverse_add`]).
+    fn reverse_add(
+        pc: InstAddr,
+        instr: Instr,
+        call_depth: u16,
+        src: PregRef,
+        dst: PregRef,
+        creator_seq: u64,
+    ) -> Option<Self> {
+        let inv_op = instr.op.inverse()?;
+        let neg = instr.alu_imm()?.checked_neg()?;
+        Some(Self {
+            pc,
+            op: inv_op,
+            has_imm: true,
+            imm: neg,
+            call_depth,
+            in1: Some(dst),
+            in2: None,
+            out: ItOutput::Value(src),
+            reverse: true,
+            creator_seq,
+        })
+    }
 }
 
 /// Statistics for the integration table itself.
@@ -139,7 +256,52 @@ pub struct ItStats {
     pub invalidations: u64,
 }
 
+/// A key resolved for the slot index: its set, the fields the scheme's
+/// tag compares, and the packed inputs.
+struct Probe {
+    set: usize,
+    key: ItKey,
+    od_tag: u64,
+    inputs: u64,
+}
+
+/// A slot's neighbours in its set's LRU list (`NIL` at either end).
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// A set's LRU list ends (`NIL` when empty) and its count of invalid
+/// ways.
+#[derive(Clone, Copy, Debug)]
+struct SetState {
+    head: u32,
+    tail: u32,
+    free: u32,
+}
+
 /// The set-associative integration table.
+///
+/// Slot `s * ways + w` holds way `w` of set `s`: its hot compare half
+/// in `tags` and its cold payload in `entries`. Lookup, insert and
+/// invalidate cost O(1) in the associativity, so a fully-associative
+/// table costs what a 4-way one does:
+///
+/// * `index` is an open-addressed hash of slot ids (linear probing,
+///   backward-shift deletion, at most a quarter full) over every
+///   *matchable* valid slot, keyed by scheme tag and packed inputs.
+///   Buckets compare against `tags`/`entries` in place, so no key is
+///   stored twice. Equal keys — a direct and a reverse entry
+///   under opcode indexing — share one probe chain; a probe walks the
+///   whole chain and takes the lowest matching slot, the way a scan of
+///   the set would find first. Under PC indexing reverse entries never
+///   match, so they stay out of the index.
+/// * `links` threads each set's valid slots into a doubly linked list
+///   from its `sets` entry's `head` (MRU) to its `tail` (LRU).
+/// * `free` is a per-set bitmap of invalid ways (`free_words` words a
+///   set), counted in `sets`: an insert takes the lowest free way, or
+///   evicts the set's LRU way when there is none.
 ///
 /// ```
 /// use rix_integration::{It, ItKey, ItOutput, IndexScheme, PregRef};
@@ -154,54 +316,72 @@ pub struct ItStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct It {
-    /// Hot halves (tag, inputs), strided: set `s` occupies
-    /// `tags[s * ways .. (s + 1) * ways]` — one cache line per 4-way
-    /// set, so the common lookup never touches the cold entries.
     tags: Vec<SlotTag>,
-    /// LRU stamps, parallel to `tags`.
-    lrus: Vec<u64>,
-    /// Cold entry payloads, parallel to `tags`.
     entries: Vec<ItEntry>,
+    index: Vec<u32>,
+    index_shift: u32,
+    links: Vec<Link>,
+    sets: Vec<SetState>,
+    free: Vec<u64>,
+    free_words: usize,
     ways: usize,
     num_sets: usize,
     scheme: IndexScheme,
-    stamp: u64,
     stats: ItStats,
 }
 
 impl It {
+    /// The most entries an IT can hold: slot ids are `u32`, with one
+    /// value reserved as the null id.
+    pub const MAX_ENTRIES: usize = NIL as usize;
+
     /// Creates an IT with `entries` total entries and `ways`
     /// associativity under the given index scheme.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is zero, `ways` is zero, or `entries` is not a
-    /// multiple of `ways` with a power-of-two set count.
+    /// multiple of `ways` with a power-of-two set count, or exceeds
+    /// [`It::MAX_ENTRIES`].
     #[must_use]
     pub fn new(entries: usize, ways: usize, scheme: IndexScheme) -> Self {
         assert!(entries > 0 && ways > 0 && entries.is_multiple_of(ways), "bad IT geometry");
+        assert!(entries <= Self::MAX_ENTRIES, "IT larger than its u32 slot ids address");
         let num_sets = entries / ways;
         assert!(num_sets.is_power_of_two(), "IT set count must be a power of two");
-        let empty = ItEntry {
-            pc: 0,
-            op: Opcode::Nop,
-            has_imm: false,
-            imm: 0,
-            call_depth: 0,
-            in1: None,
-            in2: None,
-            out: ItOutput::Branch(false),
-            reverse: false,
-            creator_seq: 0,
-        };
+        let empty = ItEntry::direct(
+            ItKey {
+                pc: 0,
+                op: Opcode::Nop,
+                has_imm: false,
+                imm: 0,
+                call_depth: 0,
+                in1: None,
+                in2: None,
+            },
+            ItOutput::Branch(false),
+            0,
+        );
+        // At most a quarter full: at half full, probe chains made a 4-way
+        // table's operations measurably slower than its set scan was.
+        let buckets = (4 * entries).next_power_of_two();
+        let free_words = ways.div_ceil(64);
+        let mut set_free = vec![u64::MAX; free_words];
+        if !ways.is_multiple_of(64) {
+            set_free[free_words - 1] = (1 << (ways % 64)) - 1;
+        }
         Self {
-            tags: vec![(INVALID_TAG, 0); num_sets * ways],
-            lrus: vec![0; num_sets * ways],
-            entries: vec![empty; num_sets * ways],
+            tags: vec![(INVALID_TAG, 0); entries],
+            entries: vec![empty; entries],
+            index: vec![NIL; buckets],
+            index_shift: 64 - buckets.trailing_zeros(),
+            links: vec![Link { prev: NIL, next: NIL }; entries],
+            sets: vec![SetState { head: NIL, tail: NIL, free: ways as u32 }; num_sets],
+            free: set_free.repeat(num_sets),
+            free_words,
             ways,
             num_sets,
             scheme,
-            stamp: 0,
             stats: ItStats::default(),
         }
     }
@@ -218,33 +398,6 @@ impl It {
         self.stats
     }
 
-    fn index(&self, pc: InstAddr, op: Opcode, has_imm: bool, imm: i32, depth: u16) -> usize {
-        let mask = self.num_sets - 1;
-        match self.scheme {
-            IndexScheme::Pc => (pc as usize) & mask,
-            IndexScheme::OpcodeDepth => {
-                // §2.3: XOR of opcode, immediate and call depth — raw,
-                // as the paper describes. The XOR's clumpy distribution
-                // (ldq/0, addq/1, …) is part of what the paper measures;
-                // the call depth is the structured disambiguator, and
-                // because stack displacements are 8-byte aligned while
-                // the depth occupies the low bits, frame slots and call
-                // levels compose into distinct sets.
-                let imm_bits = if has_imm { imm as u32 as u64 } else { u64::MAX };
-                let h = u64::from(op.code()) ^ imm_bits ^ u64::from(depth);
-                (h as usize) & mask
-            }
-        }
-    }
-
-    fn key_index(&self, key: &ItKey) -> usize {
-        self.index(key.pc, key.op, key.has_imm, key.imm, key.call_depth)
-    }
-
-    fn entry_index(&self, e: &ItEntry) -> usize {
-        self.index(e.pc, e.op, e.has_imm, e.imm, e.call_depth)
-    }
-
     fn tag_matches(scheme: IndexScheme, e: &ItEntry, key: &ItKey) -> bool {
         match scheme {
             // PC match establishes operation and immediate equivalence.
@@ -257,131 +410,228 @@ impl It {
         }
     }
 
+    fn probe(&self, key: &ItKey) -> Probe {
+        Probe {
+            set: set_of(self.scheme, self.num_sets, key),
+            key: *key,
+            od_tag: pack_od_tag(key.op, key.has_imm, key.imm),
+            inputs: pack_inputs(key.in1, key.in2),
+        }
+    }
+
+    /// Whether a valid `e` belongs in the slot index: every entry but a
+    /// reverse one under PC indexing, which [`It::tag_matches`] rejects.
+    fn indexed(&self, e: &ItEntry) -> bool {
+        !(self.scheme == IndexScheme::Pc && e.reverse)
+    }
+
+    /// The bucket where the probe chain of `inputs` under scheme tag word
+    /// `tag` starts. The set is left out: under PC indexing the tag holds
+    /// it, and under opcode indexing only the call depth can put an equal
+    /// tag and inputs in two sets, which [`It::answers`] tells apart.
+    fn bucket(&self, tag: u64, inputs: u64) -> usize {
+        let h = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ inputs;
+        (h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> self.index_shift) as usize
+    }
+
+    /// The bucket `p`'s probe chain starts at.
+    fn home(&self, p: &Probe) -> usize {
+        let tag = match self.scheme {
+            IndexScheme::OpcodeDepth => p.od_tag,
+            IndexScheme::Pc => pc_tag(p.key.pc, p.key.op),
+        };
+        self.bucket(tag, p.inputs)
+    }
+
+    /// The bucket an indexed slot's probe chain starts at.
+    fn slot_home(&self, slot: usize) -> usize {
+        let (od_tag, inputs) = self.tags[slot];
+        let tag = match self.scheme {
+            IndexScheme::OpcodeDepth => od_tag,
+            IndexScheme::Pc => pc_tag(self.entries[slot].pc, self.entries[slot].op),
+        };
+        self.bucket(tag, inputs)
+    }
+
+    /// Whether indexed `slot` answers `p`: the same set and inputs, and
+    /// [`It::tag_matches`] (one compare of the packed tag under opcode
+    /// indexing).
+    fn answers(&self, slot: usize, p: &Probe) -> bool {
+        slot.wrapping_sub(p.set * self.ways) < self.ways
+            && match self.scheme {
+                IndexScheme::OpcodeDepth => self.tags[slot] == (p.od_tag, p.inputs),
+                IndexScheme::Pc => {
+                    self.tags[slot].1 == p.inputs
+                        && Self::tag_matches(self.scheme, &self.entries[slot], &p.key)
+                }
+            }
+    }
+
+    /// The lowest slot that answers `p` and passes `accept`.
+    fn find(&self, p: &Probe, accept: impl Fn(&ItEntry) -> bool) -> Option<usize> {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(p);
+        let mut best = NIL;
+        while self.index[b] != NIL {
+            let s = self.index[b];
+            if s < best && self.answers(s as usize, p) && accept(&self.entries[s as usize]) {
+                best = s;
+            }
+            b = (b + 1) & mask;
+        }
+        (best != NIL).then_some(best as usize)
+    }
+
+    fn index_insert(&mut self, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut b = self.slot_home(slot);
+        while self.index[b] != NIL {
+            b = (b + 1) & mask;
+        }
+        self.index[b] = slot as u32;
+    }
+
+    /// Removes `slot` from the index by backward-shift deletion: each
+    /// later bucket of the chain moves into the hole unless the hole
+    /// lies before its home.
+    fn index_remove(&mut self, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.slot_home(slot);
+        while self.index[hole] as usize != slot {
+            hole = (hole + 1) & mask;
+        }
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let s = self.index[b];
+            if s == NIL {
+                break;
+            }
+            let home = self.slot_home(s as usize);
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.index[hole] = s;
+                hole = b;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    fn unlink(&mut self, set: usize, slot: usize) {
+        let Link { prev, next } = self.links[slot];
+        match prev {
+            NIL => self.sets[set].head = next,
+            p => self.links[p as usize].next = next,
+        }
+        match next {
+            NIL => self.sets[set].tail = prev,
+            n => self.links[n as usize].prev = prev,
+        }
+    }
+
+    fn push_mru(&mut self, set: usize, slot: usize) {
+        let head = self.sets[set].head;
+        self.links[slot] = Link { prev: NIL, next: head };
+        match head {
+            NIL => self.sets[set].tail = slot as u32,
+            h => self.links[h as usize].prev = slot as u32,
+        }
+        self.sets[set].head = slot as u32;
+    }
+
+    fn touch(&mut self, set: usize, slot: usize) {
+        if self.sets[set].head as usize != slot {
+            self.unlink(set, slot);
+            self.push_mru(set, slot);
+        }
+    }
+
+    /// Claims the lowest invalid way of `set`, if it has one.
+    fn take_free(&mut self, set: usize) -> Option<usize> {
+        if self.sets[set].free == 0 {
+            return None;
+        }
+        let base = set * self.free_words;
+        let i = self.free[base..base + self.free_words].iter().position(|&w| w != 0)?;
+        let word = self.free[base + i];
+        self.free[base + i] = word & (word - 1);
+        self.sets[set].free -= 1;
+        Some(set * self.ways + 64 * i + word.trailing_zeros() as usize)
+    }
+
+    /// Takes valid `slot` of `set` out of the index and the LRU list.
+    fn detach(&mut self, set: usize, slot: usize) {
+        if self.indexed(&self.entries[slot]) {
+            self.index_remove(slot);
+        }
+        self.unlink(set, slot);
+    }
+
+    /// Invalidates valid `slot` of `set`, returning its way to the free
+    /// bitmap.
+    fn clear(&mut self, set: usize, slot: usize) {
+        self.detach(set, slot);
+        self.tags[slot].0 = INVALID_TAG;
+        let way = slot - set * self.ways;
+        self.free[set * self.free_words + way / 64] |= 1 << (way % 64);
+        self.sets[set].free += 1;
+    }
+
     /// Performs the operational-equivalence test: finds an entry whose
     /// tag and generation-qualified inputs match `key`.
     ///
-    /// On a hit the entry's LRU position is refreshed and a copy
-    /// returned. The entry is *not* removed — in general reuse many
-    /// instructions may integrate the same result.
+    /// On a hit the entry becomes its set's most recently used and a
+    /// copy is returned. The entry is *not* removed — in general reuse
+    /// many instructions may integrate the same result.
     pub fn lookup(&mut self, key: ItKey) -> Option<ItEntry> {
-        let set = self.key_index(&key);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let scheme = self.scheme;
-        let w = self.ways;
-        let kin = pack_inputs(key.in1, key.in2);
-        match scheme {
-            // Opcode indexing: the whole tag + input test is two
-            // u64 compares against the packed hot halves.
-            IndexScheme::OpcodeDepth => {
-                let kt = pack_od_tag(key.op, key.has_imm, key.imm);
-                for wi in set * w..(set + 1) * w {
-                    let t = self.tags[wi];
-                    if t.0 == kt && t.1 == kin {
-                        self.lrus[wi] = stamp;
-                        self.stats.hits += 1;
-                        return Some(self.entries[wi]);
-                    }
-                }
-            }
-            IndexScheme::Pc => {
-                for wi in set * w..(set + 1) * w {
-                    if self.tags[wi].0 != INVALID_TAG
-                        && Self::tag_matches(scheme, &self.entries[wi], &key)
-                        && self.tags[wi].1 == kin
-                    {
-                        self.lrus[wi] = stamp;
-                        self.stats.hits += 1;
-                        return Some(self.entries[wi]);
-                    }
-                }
-            }
-        }
-        self.stats.misses += 1;
-        None
+        let p = self.probe(&key);
+        let Some(slot) = self.find(&p, |_| true) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.touch(p.set, slot);
+        self.stats.hits += 1;
+        Some(self.entries[slot])
     }
 
     fn insert(&mut self, entry: ItEntry) {
-        let set = self.entry_index(&entry);
-        self.stamp += 1;
-        let stamp = self.stamp;
+        let p = self.probe(&entry.key());
         self.stats.inserts += 1;
-        let scheme = self.scheme;
-        let w = self.ways;
+        let indexed = self.indexed(&entry);
         // Overwrite an entry for the same static operation and inputs
         // rather than duplicating it.
-        let dup_key = ItKey {
-            pc: entry.pc,
-            op: entry.op,
-            has_imm: entry.has_imm,
-            imm: entry.imm,
-            call_depth: entry.call_depth,
-            in1: entry.in1,
-            in2: entry.in2,
-        };
-        let od_tag = pack_od_tag(entry.op, entry.has_imm, entry.imm);
-        let inputs = pack_inputs(entry.in1, entry.in2);
-        let mut victim = set * w;
-        let mut victim_lru = u64::MAX;
-        for wi in set * w..(set + 1) * w {
-            let t = self.tags[wi];
-            if t.0 != INVALID_TAG
-                && t.1 == inputs
-                && self.entries[wi].reverse == entry.reverse
-                && match scheme {
-                    IndexScheme::OpcodeDepth => t.0 == od_tag,
-                    IndexScheme::Pc => Self::tag_matches(scheme, &self.entries[wi], &dup_key),
-                }
-            {
-                self.entries[wi] = entry;
-                self.lrus[wi] = stamp;
+        if indexed {
+            if let Some(slot) = self.find(&p, |e| e.reverse == entry.reverse) {
+                self.entries[slot] = entry;
+                self.touch(p.set, slot);
                 return;
             }
-            let key_lru = if t.0 == INVALID_TAG { 0 } else { self.lrus[wi] };
-            if key_lru < victim_lru {
-                victim_lru = key_lru;
-                victim = wi;
+        }
+        let slot = match self.take_free(p.set) {
+            Some(slot) => slot,
+            None => {
+                let lru = self.sets[p.set].tail as usize;
+                self.detach(p.set, lru);
+                self.stats.evictions += 1;
+                lru
             }
+        };
+        self.tags[slot] = (p.od_tag, p.inputs);
+        self.entries[slot] = entry;
+        self.push_mru(p.set, slot);
+        if indexed {
+            self.index_insert(slot);
         }
-        if self.tags[victim].0 != INVALID_TAG {
-            self.stats.evictions += 1;
-        }
-        self.tags[victim] = (od_tag, inputs);
-        self.lrus[victim] = stamp;
-        self.entries[victim] = entry;
     }
 
     /// Creates a direct entry for a value-producing instruction that
     /// failed to integrate: `<op/imm, in1, in2> → out`.
     pub fn insert_direct(&mut self, key: ItKey, out: PregRef, creator_seq: u64) {
-        self.insert(ItEntry {
-            pc: key.pc,
-            op: key.op,
-            has_imm: key.has_imm,
-            imm: key.imm,
-            call_depth: key.call_depth,
-            in1: key.in1,
-            in2: key.in2,
-            out: ItOutput::Value(out),
-            reverse: false,
-            creator_seq,
-        });
+        self.insert(ItEntry::direct(key, ItOutput::Value(out), creator_seq));
     }
 
     /// Creates (or refreshes) a branch-outcome entry at execution time.
     pub fn insert_branch(&mut self, key: ItKey, taken: bool, creator_seq: u64) {
-        self.insert(ItEntry {
-            pc: key.pc,
-            op: key.op,
-            has_imm: key.has_imm,
-            imm: key.imm,
-            call_depth: key.call_depth,
-            in1: key.in1,
-            in2: key.in2,
-            out: ItOutput::Branch(taken),
-            reverse: false,
-            creator_seq,
-        });
+        self.insert(ItEntry::direct(key, ItOutput::Branch(taken), creator_seq));
     }
 
     /// Creates the reverse entry for a renamed store (§2.4): renaming
@@ -399,19 +649,10 @@ impl It {
         data: PregRef,
         creator_seq: u64,
     ) -> bool {
-        let Some(load_op) = instr.op.inverse() else { return false };
-        self.insert(ItEntry {
-            pc,
-            op: load_op,
-            has_imm: true,
-            imm: instr.disp,
-            call_depth,
-            in1: Some(base),
-            in2: None,
-            out: ItOutput::Value(data),
-            reverse: true,
-            creator_seq,
-        });
+        let Some(e) = ItEntry::reverse_store(pc, instr, call_depth, base, data, creator_seq) else {
+            return false;
+        };
+        self.insert(e);
         true
     }
 
@@ -434,21 +675,10 @@ impl It {
         dst: PregRef,
         creator_seq: u64,
     ) -> bool {
-        let Some(inv_op) = instr.op.inverse() else { return false };
-        let Some(imm) = instr.alu_imm() else { return false };
-        let Some(neg) = imm.checked_neg() else { return false };
-        self.insert(ItEntry {
-            pc,
-            op: inv_op,
-            has_imm: true,
-            imm: neg,
-            call_depth,
-            in1: Some(dst),
-            in2: None,
-            out: ItOutput::Value(src),
-            reverse: true,
-            creator_seq,
-        });
+        let Some(e) = ItEntry::reverse_add(pc, instr, call_depth, src, dst, creator_seq) else {
+            return false;
+        };
+        self.insert(e);
         true
     }
 
@@ -456,26 +686,17 @@ impl It {
     /// by its tag, inputs and output), preventing repeat offenders and
     /// livelock after the DIVA flush re-fetches the same instruction.
     pub fn invalidate(&mut self, key: ItKey, out: ItOutput) {
-        let set = self.key_index(&key);
-        let scheme = self.scheme;
-        let w = self.ways;
-        let kin = pack_inputs(key.in1, key.in2);
-        for wi in set * w..(set + 1) * w {
-            if self.tags[wi].0 != INVALID_TAG
-                && Self::tag_matches(scheme, &self.entries[wi], &key)
-                && self.tags[wi].1 == kin
-                && self.entries[wi].out == out
-            {
-                self.tags[wi].0 = INVALID_TAG;
-                self.stats.invalidations += 1;
-            }
+        let p = self.probe(&key);
+        while let Some(slot) = self.find(&p, |e| e.out == out) {
+            self.clear(p.set, slot);
+            self.stats.invalidations += 1;
         }
     }
 
     /// Number of valid entries (diagnostics).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|t| t.0 != INVALID_TAG).count()
+        self.tags.len() - self.sets.iter().map(|s| s.free as usize).sum::<usize>()
     }
 }
 
@@ -676,5 +897,314 @@ mod tests {
     #[should_panic(expected = "bad IT geometry")]
     fn bad_geometry_rejected() {
         let _ = It::new(0, 4, IndexScheme::Pc);
+    }
+
+    /// The linear-scan IT that the slot index replaced: every operation
+    /// walks the set, and LRU order comes from per-way stamps. The
+    /// property test below holds [`It`] to it operation by operation.
+    struct RefIt {
+        tags: Vec<SlotTag>,
+        lrus: Vec<u64>,
+        entries: Vec<ItEntry>,
+        ways: usize,
+        num_sets: usize,
+        scheme: IndexScheme,
+        stamp: u64,
+        stats: ItStats,
+    }
+
+    impl RefIt {
+        fn new(entries: usize, ways: usize, scheme: IndexScheme) -> Self {
+            let it = It::new(entries, ways, scheme);
+            Self {
+                tags: it.tags,
+                lrus: vec![0; entries],
+                entries: it.entries,
+                ways,
+                num_sets: entries / ways,
+                scheme,
+                stamp: 0,
+                stats: ItStats::default(),
+            }
+        }
+
+        fn lookup(&mut self, key: ItKey) -> Option<ItEntry> {
+            let set = set_of(self.scheme, self.num_sets, &key);
+            self.stamp += 1;
+            let kin = pack_inputs(key.in1, key.in2);
+            for wi in set * self.ways..(set + 1) * self.ways {
+                if self.tags[wi].0 != INVALID_TAG
+                    && It::tag_matches(self.scheme, &self.entries[wi], &key)
+                    && self.tags[wi].1 == kin
+                {
+                    self.lrus[wi] = self.stamp;
+                    self.stats.hits += 1;
+                    return Some(self.entries[wi]);
+                }
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        fn insert(&mut self, entry: ItEntry) {
+            let key = entry.key();
+            let set = set_of(self.scheme, self.num_sets, &key);
+            self.stamp += 1;
+            self.stats.inserts += 1;
+            let inputs = pack_inputs(entry.in1, entry.in2);
+            let mut victim = set * self.ways;
+            let mut victim_lru = u64::MAX;
+            for wi in set * self.ways..(set + 1) * self.ways {
+                let t = self.tags[wi];
+                if t.0 != INVALID_TAG
+                    && t.1 == inputs
+                    && self.entries[wi].reverse == entry.reverse
+                    && It::tag_matches(self.scheme, &self.entries[wi], &key)
+                {
+                    self.entries[wi] = entry;
+                    self.lrus[wi] = self.stamp;
+                    return;
+                }
+                let lru = if t.0 == INVALID_TAG { 0 } else { self.lrus[wi] };
+                if lru < victim_lru {
+                    victim_lru = lru;
+                    victim = wi;
+                }
+            }
+            if self.tags[victim].0 != INVALID_TAG {
+                self.stats.evictions += 1;
+            }
+            self.tags[victim] = (pack_od_tag(entry.op, entry.has_imm, entry.imm), inputs);
+            self.lrus[victim] = self.stamp;
+            self.entries[victim] = entry;
+        }
+
+        fn invalidate(&mut self, key: ItKey, out: ItOutput) {
+            let set = set_of(self.scheme, self.num_sets, &key);
+            let kin = pack_inputs(key.in1, key.in2);
+            for wi in set * self.ways..(set + 1) * self.ways {
+                if self.tags[wi].0 != INVALID_TAG
+                    && It::tag_matches(self.scheme, &self.entries[wi], &key)
+                    && self.tags[wi].1 == kin
+                    && self.entries[wi].out == out
+                {
+                    self.tags[wi].0 = INVALID_TAG;
+                    self.stats.invalidations += 1;
+                }
+            }
+        }
+    }
+
+    /// One operation of the random stream.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Lookup(ItKey),
+        Direct(ItKey, PregRef, u64),
+        Branch(ItKey, bool, u64),
+        ReverseStore(InstAddr, Instr, u16, PregRef, PregRef, u64),
+        ReverseAdd(InstAddr, Instr, u16, PregRef, PregRef, u64),
+        Invalidate(ItKey, ItOutput),
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+    }
+
+    /// Draws operations from a key space sized to the table: enough
+    /// distinct keys to overflow every set, few enough that keys repeat.
+    /// Stack-pointer loads, stores and `addq` pairs share op/imm/base so
+    /// direct and reverse entries with one key meet in one set; a ring
+    /// of recent keys and outputs feeds the hits and invalidations.
+    struct Stream {
+        rng: Rng,
+        pregs: u64,
+        recent: Vec<(ItKey, ItOutput)>,
+        seq: u64,
+    }
+
+    impl Stream {
+        fn preg(&mut self) -> PregRef {
+            p(self.rng.below(self.pregs) as u16, self.rng.below(2) as u8)
+        }
+
+        fn key(&mut self) -> ItKey {
+            let pc = self.rng.below(16);
+            let depth = self.rng.below(2) as u16;
+            let imm = self.rng.pick(&[-8, 0, 8, 16]);
+            let base = self.preg();
+            let instr = match self.rng.below(4) {
+                0 => Instr::load(Opcode::Ldq, reg::T0, reg::SP, imm),
+                1 => Instr::alu_ri(Opcode::Addq, reg::SP, reg::SP, imm),
+                2 => Instr::cond_branch(Opcode::Bne, reg::R1, 0),
+                _ => Instr::alu_rr(Opcode::Addq, reg::R1, reg::R2, reg::R3),
+            };
+            let in2 = (instr.src2_reg().is_some() && !instr.op.is_mem()).then(|| self.preg());
+            ItKey::new(pc, instr, depth, Some(base), in2)
+        }
+
+        fn recent_or_new(&mut self) -> (ItKey, ItOutput) {
+            if !self.recent.is_empty() && self.rng.below(2) == 0 {
+                let i = self.rng.below(self.recent.len() as u64) as usize;
+                let (mut key, out) = self.recent[i];
+                if self.rng.below(4) == 0 {
+                    // Same tag and inputs from another static instruction.
+                    key.pc = self.rng.below(16);
+                }
+                (key, out)
+            } else {
+                (self.key(), ItOutput::Value(self.preg()))
+            }
+        }
+
+        fn remember(&mut self, key: ItKey, out: ItOutput) {
+            if self.recent.len() == 64 {
+                let i = self.rng.below(64) as usize;
+                self.recent[i] = (key, out);
+            } else {
+                self.recent.push((key, out));
+            }
+        }
+
+        fn next(&mut self) -> Op {
+            self.seq += 1;
+            let seq = self.seq;
+            let (key, out) = self.recent_or_new();
+            let depth = key.call_depth;
+            let base = key.in1.expect("every key has an input");
+            match self.rng.below(10) {
+                0..=2 => Op::Lookup(key),
+                3 | 4 => {
+                    // Reusing a remembered output pairs a direct entry
+                    // with a reverse one that one invalidation clears.
+                    let out = match out {
+                        ItOutput::Value(r) if self.rng.below(2) == 0 => r,
+                        _ => self.preg(),
+                    };
+                    self.remember(key, ItOutput::Value(out));
+                    Op::Direct(key, out, seq)
+                }
+                5 => {
+                    let taken = self.rng.below(2) == 0;
+                    self.remember(key, ItOutput::Branch(taken));
+                    Op::Branch(key, taken, seq)
+                }
+                6 => {
+                    let st = Instr::store(Opcode::Stq, reg::T0, reg::SP, key.imm);
+                    let data = self.preg();
+                    let ld = Instr::load(Opcode::Ldq, reg::T0, reg::SP, key.imm);
+                    let load_key = ItKey::new(key.pc, ld, depth, Some(base), None);
+                    self.remember(load_key, ItOutput::Value(data));
+                    Op::ReverseStore(key.pc, st, depth, base, data, seq)
+                }
+                7 => {
+                    let imm = self.rng.pick(&[-16, -8, 0, 8, i32::MIN]);
+                    let add = Instr::alu_ri(Opcode::Addq, reg::SP, reg::SP, imm);
+                    let src = self.preg();
+                    if let Some(neg) = imm.checked_neg() {
+                        let pop = Instr::alu_ri(Opcode::Addq, reg::SP, reg::SP, neg);
+                        let pop_key = ItKey::new(key.pc, pop, depth, Some(base), None);
+                        self.remember(pop_key, ItOutput::Value(src));
+                    }
+                    Op::ReverseAdd(key.pc, add, depth, src, base, seq)
+                }
+                _ => Op::Invalidate(key, out),
+            }
+        }
+    }
+
+    /// Slot-by-slot equality of the two tables' contents.
+    fn same_slots(it: &It, model: &RefIt) -> bool {
+        it.tags.iter().zip(&model.tags).zip(it.entries.iter().zip(&model.entries)).all(
+            |((t, mt), (e, me))| {
+                (t.0 == INVALID_TAG) == (mt.0 == INVALID_TAG) && (t.0 == INVALID_TAG || e == me)
+            },
+        )
+    }
+
+    #[test]
+    fn slot_index_matches_the_linear_scan_model() {
+        let geometries = [(1, 1), (2, 2), (64, 1), (64, 4), (96, 3), (64, 64), (4096, 4096)];
+        for scheme in [IndexScheme::Pc, IndexScheme::OpcodeDepth] {
+            for (entries, ways) in geometries {
+                let mut it = It::new(entries, ways, scheme);
+                let mut model = RefIt::new(entries, ways, scheme);
+                let mut stream = Stream {
+                    rng: Rng(entries as u64 * 31 + ways as u64),
+                    pregs: (entries as u64 / 4).max(3),
+                    recent: Vec::new(),
+                    seq: 0,
+                };
+                let n = 20 * entries + 4000;
+                for i in 0..n {
+                    let op = stream.next();
+                    let (got, want) = match op {
+                        Op::Lookup(k) => (it.lookup(k), model.lookup(k)),
+                        Op::Direct(k, out, seq) => {
+                            it.insert_direct(k, out, seq);
+                            model.insert(ItEntry::direct(k, ItOutput::Value(out), seq));
+                            (None, None)
+                        }
+                        Op::Branch(k, taken, seq) => {
+                            it.insert_branch(k, taken, seq);
+                            model.insert(ItEntry::direct(k, ItOutput::Branch(taken), seq));
+                            (None, None)
+                        }
+                        Op::ReverseStore(pc, instr, depth, base, data, seq) => {
+                            let e = ItEntry::reverse_store(pc, instr, depth, base, data, seq);
+                            let made = it.insert_reverse_store(pc, instr, depth, base, data, seq);
+                            assert_eq!(made, e.is_some());
+                            if let Some(e) = e {
+                                model.insert(e);
+                            }
+                            (None, None)
+                        }
+                        Op::ReverseAdd(pc, instr, depth, src, dst, seq) => {
+                            let e = ItEntry::reverse_add(pc, instr, depth, src, dst, seq);
+                            let made = it.insert_reverse_add(pc, instr, depth, src, dst, seq);
+                            assert_eq!(made, e.is_some());
+                            if let Some(e) = e {
+                                model.insert(e);
+                            }
+                            (None, None)
+                        }
+                        Op::Invalidate(k, out) => {
+                            it.invalidate(k, out);
+                            model.invalidate(k, out);
+                            (None, None)
+                        }
+                    };
+                    let at = format!("{scheme:?} {entries}x{ways}, op {i}: {op:?}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(it.stats(), model.stats, "{at}");
+                    let occupancy = model.tags.iter().filter(|t| t.0 != INVALID_TAG).count();
+                    assert_eq!(it.occupancy(), occupancy, "{at}");
+                    if i % 64 == 0 || i + 1 == n {
+                        assert!(same_slots(&it, &model), "{at}");
+                    }
+                }
+                let s = it.stats();
+                assert!(
+                    s.hits > 0 && s.evictions > 0 && s.invalidations > 0,
+                    "{scheme:?} {entries}x{ways}: the stream must hit, evict and invalidate: {s:?}"
+                );
+            }
+        }
     }
 }

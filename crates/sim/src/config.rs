@@ -297,13 +297,13 @@ impl SimConfig {
 
     /// Checks that the machine can actually be **built**: the physical
     /// register file covers the architectural registers plus the
-    /// in-flight window, and every sub-config passes its own
-    /// buildability check (cache geometry, predictor table sizes, IT /
-    /// LISP geometry, counter widths). This is what separates a merely
-    /// well-typed configuration — which the JSON layer accepts — from
-    /// one [`crate::Simulator::new`] will not panic on; experiment
-    /// validation calls it per arm so a bad spec fails with a named
-    /// error instead of a worker-thread panic.
+    /// in-flight window and its ids fit 16 bits, and every sub-config
+    /// passes its own buildability check (cache geometry, predictor
+    /// table sizes, IT / LISP geometry, counter widths). This is what
+    /// separates a merely well-typed configuration — which the JSON
+    /// layer accepts — from one [`crate::Simulator::new`] will not
+    /// panic on; experiment validation calls it per arm so a bad spec
+    /// fails with a named error instead of a worker-thread panic.
     pub fn validate(&self) -> Result<(), String> {
         let floor = rix_isa::reg::NUM_LOG_REGS + self.core.rob_entries + 8;
         if self.num_pregs < floor {
@@ -313,6 +313,15 @@ impl SimConfig {
                 self.num_pregs,
                 rix_isa::reg::NUM_LOG_REGS,
                 self.core.rob_entries
+            ));
+        }
+        // Physical register ids are `u16`, and `u16::MAX` is reserved as
+        // the pipeline's "no register" marker.
+        let ceiling = usize::from(u16::MAX);
+        if self.num_pregs > ceiling {
+            return Err(format!(
+                "num_pregs = {} exceeds the limit of {ceiling} (physical register ids are 16-bit)",
+                self.num_pregs
             ));
         }
         self.mem.validate().map_err(|e| format!("mem: {e}"))?;

@@ -146,12 +146,16 @@ proptest! {
         agree(&program, SimConfig::default())?;
     }
 
-    /// ... and under squash-only reuse with a direct-mapped IT (the most
-    /// conflict-prone configuration).
+    /// ... under squash-only reuse with a direct-mapped IT (the most
+    /// conflict-prone configuration), and with reverse integration in a
+    /// small fully-associative IT (one set: every entry shares the slot
+    /// index's probe chains and the LRU list).
     #[test]
     fn random_programs_agree_squash_dm(ops in proptest::collection::vec(body_op(), 1..16), trips in any::<u8>()) {
         let program = build(&ops, trips);
         let ic = IntegrationConfig::squash_reuse().with_it_geometry(64, 1);
+        agree(&program, SimConfig::default().with_integration(ic))?;
+        let ic = IntegrationConfig::plus_reverse().with_it_geometry(64, 64);
         agree(&program, SimConfig::default().with_integration(ic))?;
     }
 }

@@ -1,8 +1,9 @@
 //! Golden determinism snapshots: architectural results must not drift.
 //!
 //! Runs every named workload at a fixed seed and instruction budget
-//! under both the no-integration baseline and the full-integration
-//! configuration, and compares `RunResult::to_json()` byte-for-byte
+//! under the no-integration baseline, the full-integration
+//! configuration and four integration-table corners (see `configs`),
+//! and compares `RunResult::to_json()` byte-for-byte
 //! against the committed goldens in `tests/goldens/`. Performance
 //! refactors of the simulator hot path must leave every counter —
 //! cycles, squashes, cache misses, integration events — exactly
@@ -23,8 +24,22 @@ fn goldens_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("goldens")
 }
 
+/// The baseline, the default 1K 4-way IT, and the IT corners: PC
+/// indexing, full associativity at 1K and at 64 entries (the latter
+/// under oracle suppression), and a direct-mapped table.
 fn configs() -> Vec<(&'static str, SimConfig)> {
-    vec![("base", SimConfig::baseline()), ("integration", SimConfig::default())]
+    let it = |i: IntegrationConfig| SimConfig::default().with_integration(i);
+    vec![
+        ("base", SimConfig::baseline()),
+        ("integration", SimConfig::default()),
+        ("it_pc", it(IntegrationConfig::plus_general())),
+        ("it_fa1k", it(IntegrationConfig::plus_reverse().fully_associative())),
+        ("it_dm", it(IntegrationConfig::plus_reverse().with_it_geometry(1024, 1))),
+        (
+            "it_fa64_oracle",
+            it(IntegrationConfig::plus_reverse().with_it_geometry(64, 64).with_oracle()),
+        ),
+    ]
 }
 
 #[test]
