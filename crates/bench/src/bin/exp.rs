@@ -17,8 +17,11 @@
 //! exp cache stats <DIR> | exp cache gc <DIR> --older-than AGE
 //! ```
 //!
-//! * `exp run spec.json` — run the experiment; print a long-form result
-//!   table (bench × arm, IPC and counts).
+//! * `exp run spec.json` — run the experiment and print its tables: the
+//!   paper figure's tables for the committed `specs/` (chosen by the
+//!   spec's `name`, see [`rix_bench::figures`]; `--diagnostics` adds
+//!   fig4's §3.2 metrics), a long-form table (bench × arm, IPC and
+//!   counts) for any other spec.
 //! * `exp serve spec.json --listen ADDR` — the same run, but served to
 //!   remote TCP workers (`exp worker --connect ADDR` on any host that
 //!   can reach the coordinator). The listener's bound address goes to
@@ -49,9 +52,9 @@
 //!   only cells whose inputs changed; the result document grows a
 //!   `cache` section.
 //! * `--json` — print the `rix-exp-result/1` document (canonical spec +
-//!   fingerprint + trial records) instead of the table.
-//! * `--output FILE` — also write that document to FILE (the table
-//!   stays on stdout).
+//!   fingerprint + trial records) instead of the tables.
+//! * `--output FILE` — also write that document to FILE (the tables
+//!   stay on stdout).
 //!
 //! The spec owns the experiment's parameters; explicitly-given harness
 //! flags (`--instructions`, `--seed`, `--warmup`, `--warmup-mode`)
@@ -401,7 +404,8 @@ fn runs_command(args: &[String]) -> ! {
 }
 
 /// Parses a `--older-than` age: plain seconds, or a number with an
-/// `s`/`m`/`h`/`d` suffix.
+/// `s`/`m`/`h`/`d` suffix. An age too large to count in seconds is an
+/// error, not a wrapped (and much shorter) age.
 fn parse_age(text: &str) -> Result<std::time::Duration, String> {
     let (digits, unit) = match text.chars().last() {
         Some(u @ ('s' | 'm' | 'h' | 'd')) => (&text[..text.len() - 1], u),
@@ -410,12 +414,13 @@ fn parse_age(text: &str) -> Result<std::time::Duration, String> {
     let n: u64 = digits
         .parse()
         .map_err(|_| format!("bad age `{text}` (want e.g. 30, 45s, 10m, 2h, 7d)"))?;
-    let secs = match unit {
-        's' => n,
-        'm' => n * 60,
-        'h' => n * 3600,
-        _ => n * 86_400,
+    let scale = match unit {
+        's' => 1,
+        'm' => 60,
+        'h' => 3600,
+        _ => 86_400,
     };
+    let secs = n.checked_mul(scale).ok_or_else(|| format!("age `{text}` is too large"))?;
     Ok(std::time::Duration::from_secs(secs))
 }
 
@@ -423,8 +428,12 @@ fn parse_age(text: &str) -> Result<std::time::Duration, String> {
 /// inspect or prune a content-addressed trial-cache directory (the
 /// `--cache DIR` of runs, or a service data-dir's `cache/`).
 fn cache_command(args: &[String]) -> ! {
-    let Some(verb) = args.first().map(String::as_str) else {
-        fail("`exp cache` needs a subcommand: stats or gc");
+    let verb = match args.first().map(String::as_str) {
+        Some(verb @ ("stats" | "gc")) => verb,
+        Some(other) => {
+            fail(&format!("unknown `exp cache` subcommand `{other}` (want stats or gc)"))
+        }
+        None => fail("`exp cache` needs a subcommand: stats or gc"),
     };
     let mut dir: Option<String> = None;
     let mut older_than: Option<std::time::Duration> = None;
@@ -448,6 +457,11 @@ fn cache_command(args: &[String]) -> ! {
     let Some(dir) = dir else {
         fail(&format!("`exp cache {verb}` needs a cache directory"));
     };
+    // Inspecting must not create: a typo'd path is an error, not an
+    // empty cache.
+    if !std::path::Path::new(&dir).is_dir() {
+        run_fail(&format!("no cache directory at `{dir}`"));
+    }
     let cache = match rix_dispatch::ResultCache::open(&dir) {
         Ok(c) => c,
         Err(msg) => run_fail(&msg),
@@ -474,7 +488,7 @@ fn cache_command(args: &[String]) -> ! {
                 );
             }
         }
-        "gc" => {
+        _ => {
             let Some(age) = older_than else {
                 fail("`exp cache gc` needs --older-than AGE");
             };
@@ -483,7 +497,6 @@ fn cache_command(args: &[String]) -> ! {
                 Err(msg) => run_fail(&msg),
             }
         }
-        other => fail(&format!("unknown `exp cache` subcommand `{other}` (want stats or gc)")),
     }
     std::process::exit(0);
 }
@@ -650,14 +663,10 @@ fn main() {
     let cache_report = h.cache.is_some().then_some(&report);
     let dispatch_report = h.dispatch_stats.then_some(&report);
     let doc = result_doc(&spec, &trials, cache_report, dispatch_report);
-    if let Some(out) = &h.output {
-        if let Err(e) = std::fs::write(out, format!("{doc}\n")) {
-            fail(&format!("cannot write `{out}`: {e}"));
-        }
-    }
-    if h.json {
-        println!("{doc}");
-        return;
+    match h.emit(&doc) {
+        Ok(true) => return,
+        Ok(false) => {}
+        Err(msg) => fail(&msg),
     }
 
     println!(
@@ -665,6 +674,10 @@ fn main() {
         spec.name.as_deref().unwrap_or(path),
         spec.fingerprint_hex()
     );
+    if let Some(tables) = rix_bench::figures::render(&spec, &trials, h.diagnostics) {
+        print!("{tables}");
+        return;
+    }
     let mut table = Table::new(&["bench", "config", "IPC", "retired", "cycles"]);
     for t in &trials {
         table.row(vec![
@@ -676,4 +689,30 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_age;
+    use std::time::Duration;
+
+    #[test]
+    fn parse_age_scales_every_suffix_and_refuses_overflow() {
+        for (text, secs) in
+            [("30", 30), ("45s", 45), ("10m", 600), ("2h", 7_200), ("7d", 604_800)]
+        {
+            assert_eq!(parse_age(text), Ok(Duration::from_secs(secs)), "{text}");
+        }
+        assert_eq!(parse_age(&format!("{}s", u64::MAX)), Ok(Duration::from_secs(u64::MAX)));
+        for text in [
+            format!("{}m", u64::MAX / 60 + 1),
+            format!("{}h", u64::MAX / 3_600 + 1),
+            format!("{}d", u64::MAX / 86_400 + 1),
+            "213503982334602d".to_string(),
+        ] {
+            let err = parse_age(&text).unwrap_err();
+            assert!(err.contains(&text), "names the value: {err}");
+        }
+        assert!(parse_age("7w").unwrap_err().contains("bad age"));
+    }
 }

@@ -1,20 +1,19 @@
 //! # rix-bench: the evaluation harness
 //!
-//! One binary per figure in the paper's evaluation (§3):
+//! Two binaries:
 //!
-//! | binary | regenerates |
-//! |--------|-------------|
-//! | `fig4` | Figure 4 — speedup and integration rate per extension arm (squash / +general / +opcode / +reverse), realistic LISP and oracle suppression, mis-integrations per million; `--diagnostics` adds the §3.2 secondary metrics |
-//! | `fig5` | Figure 5 — integration-stream breakdowns: Type, Distance, Status, Refcount |
-//! | `fig6` | Figure 6 — IT associativity (1/2/4/full) and size (64/256/1K/4K) sweeps |
-//! | `fig7` | Figure 7 — reduced-complexity execution engines (base / RS / IW / IW+RS) with and without integration |
-//! | `perf` | Simulator-throughput harness — simulated KIPS per workload under the base and integration configs, written as a `BENCH_*.json` perf record (`--baseline` chains records into a trajectory) |
-//! | `exp`  | The spec-driven runner: `exp run spec.json` executes any `rix-exp/1` experiment spec ([`ExperimentSpec`]) on the shared engine, with `--dry-run`, `--list-arms`, `--json` and `--output` |
+//! | binary | does |
+//! |--------|------|
+//! | `exp`  | The spec-driven runner: `exp run spec.json` executes any `rix-exp/1` experiment spec ([`ExperimentSpec`]) on the shared engine, with `--dry-run`, `--list-arms`, `--json` and `--output`; `exp serve`, `exp worker` and `exp serve-api` distribute it |
+//! | `lint` | The static-analysis driver over workloads and specs |
 //!
-//! The figure binaries are themselves spec-driven: each embeds its
-//! committed `specs/<name>.json` and adds only the figure-specific
-//! table rendering, so the experiment definition is data shared with
-//! `exp`.
+//! The paper's evaluation (§3) is the committed specs under `specs/`:
+//! `exp run specs/figN.json` regenerates Figure N (4–7) and
+//! `exp run specs/ablations.json` the ablations. In text mode `exp`
+//! prints the figure's tables ([`figures::render`]), whose rows and
+//! series match the paper's figures; `--diagnostics` adds the §3.2
+//! secondary metrics to fig4. Any other spec gets a generic per-trial
+//! IPC table.
 //!
 //! Shared flags: `--instructions N` (retired instructions per run,
 //! default 100 000), `--seed S`, `--bench NAME` (filter to one
@@ -22,10 +21,8 @@
 //! `--warmup N` (instructions discarded before measuring) with
 //! `--warmup-mode detailed|functional` (per-cell detailed warm-up vs
 //! one shared interpreter fast-forward per benchmark — see
-//! [`WarmupMode`]), `--json` (machine-readable trial records instead of
-//! tables). All
-//! binaries print aligned text tables whose rows/series match the
-//! paper's figures; trial order — and therefore every table — is
+//! [`WarmupMode`]), `--json` (the `rix-exp-result/1` document instead
+//! of tables). Trial order — and therefore every table — is
 //! independent of the thread count.
 //!
 //! The experiment layer is the [`Sweep`] builder: declare a
@@ -36,6 +33,7 @@
 //! as serializable [`ExperimentSpec`] documents.
 
 pub mod dispatch;
+pub mod figures;
 pub mod service;
 pub mod space;
 pub mod spec;
@@ -98,9 +96,8 @@ pub enum WarmupMode {
 }
 
 impl WarmupMode {
-    /// The mode's stable name (CLI value, spec value, perf-record
-    /// field). [`WarmupMode::Checkpoint`]'s directory is not part of the
-    /// name.
+    /// The mode's stable name (CLI value and spec value).
+    /// [`WarmupMode::Checkpoint`]'s directory is not part of the name.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -108,23 +105,6 @@ impl WarmupMode {
             Self::Functional => "functional",
             Self::Checkpoint { .. } => "checkpoint",
         }
-    }
-}
-
-/// Guard for the figure binaries' renderers: each renders a fixed table
-/// shape (hard-coded headers and column offsets), so a committed spec
-/// that materialises a different arm count must fail loudly — editing
-/// the spec without updating the rendering would otherwise silently
-/// drop the new arms from the tables. Exits with status 2 and a message
-/// naming both sides; `exp run` renders any arm count generically.
-pub fn expect_arm_count(figure: &str, actual: usize, expected: usize) {
-    if actual != expected {
-        eprintln!(
-            "error: {figure}'s committed spec materialises {actual} arms but this binary's \
-             tables render exactly {expected}; update the rendering alongside the spec, or \
-             use `exp run specs/{figure}.json` for generic output"
-        );
-        std::process::exit(2);
     }
 }
 
@@ -136,7 +116,7 @@ pub fn checkpoint_path(dir: &str, bench: &str, seed: u64) -> std::path::PathBuf 
     std::path::Path::new(dir).join(format!("{bench}-s{seed}.ckpt.json"))
 }
 
-/// Common command-line options for the figure binaries.
+/// The shared command-line options of `exp run` and `exp serve`.
 #[derive(Clone, Debug)]
 pub struct Harness {
     /// Retired instructions per simulation run.
@@ -145,7 +125,8 @@ pub struct Harness {
     pub seed: u64,
     /// Restrict to one benchmark by name.
     pub filter: Option<String>,
-    /// Print the extra §3.2 diagnostics (fig4 only).
+    /// Add the §3.2 diagnostics table to fig4's text output (see
+    /// [`figures::render`]); other specs ignore it.
     pub diagnostics: bool,
     /// Worker threads for the (benchmark × config) sweep.
     pub threads: usize,
@@ -156,8 +137,8 @@ pub struct Harness {
     /// How the warm-up executes (per-cell detailed vs shared
     /// functional fast-forward vs checkpoint forking).
     pub warmup_mode: WarmupMode,
-    /// Also write the run's JSON (trial records, or the perf record) to
-    /// this file; the stdout text table is preserved.
+    /// Also write the run's `rix-exp-result/1` document to this file;
+    /// the stdout text tables are preserved.
     pub output: Option<String>,
     /// Worker **processes** to shard the sweep across (0, the default,
     /// runs in-process; see [`dispatch`]). Orthogonal to
@@ -190,9 +171,9 @@ pub struct Harness {
 }
 
 /// Tracks which [`Harness`] flags the command line set explicitly.
-/// Spec-driven binaries use this to decide precedence: the committed
-/// spec provides the experiment's parameters, and only explicitly-given
-/// flags override them.
+/// `exp` uses this to decide precedence: the spec provides the
+/// experiment's parameters, and only explicitly-given flags override
+/// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GivenFlags {
     /// `--instructions` was given.
@@ -232,9 +213,7 @@ impl Harness {
     /// The usage string printed on a flag error (exit status 2).
     #[must_use]
     pub fn usage() -> &'static str {
-        "usage: <figure binary> [flags]\n\
-         \n\
-         flags:\n\
+        "harness flags (exp run, exp serve):\n\
          \x20 --instructions N, -n N  retired instructions per run (default 100000)\n\
          \x20 --seed S                workload generator seed (default 7)\n\
          \x20 --bench NAME            restrict to one benchmark (case-insensitive)\n\
@@ -243,8 +222,8 @@ impl Harness {
          \x20 --warmup-mode MODE      `detailed` (per cell, default), `functional`\n\
          \x20                         (one interpreter fast-forward shared by all config arms),\n\
          \x20                         or `checkpoint:DIR` (fork every arm from saved checkpoints)\n\
-         \x20 --json                  print trial records as JSON, not tables\n\
-         \x20 --output FILE           also write the run's JSON to FILE (table stays on stdout)\n\
+         \x20 --json                  print the rix-exp-result/1 document, not tables\n\
+         \x20 --output FILE           also write that document to FILE (tables stay on stdout)\n\
          \x20 --workers N             shard the sweep across N worker processes (default:\n\
          \x20                         in-process; trials are byte-identical either way)\n\
          \x20 --cache DIR             content-addressed trial cache: reuse every cell already\n\
@@ -262,27 +241,8 @@ impl Harness {
          \x20 --help, -h              this message"
     }
 
-    /// Parses the shared flags from `std::env::args`. On an unknown or
-    /// malformed flag, prints the error and [`Harness::usage`] to
-    /// stderr and exits with status 2 (`--help` prints usage to stdout
-    /// and exits 0).
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", Self::usage());
-            std::process::exit(0);
-        }
-        match Self::try_parse(args) {
-            Ok(h) => h,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", Self::usage());
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The fallible core of [`Harness::from_args`].
+    /// Parses the shared flags. An unknown or malformed flag is an
+    /// error naming it; the caller prints it with [`Harness::usage`].
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let args: Vec<String> = args.into_iter().collect();
         let mut h = Self::default();
@@ -417,26 +377,21 @@ impl Harness {
         Ok((trials, report))
     }
 
-    /// The shared JSON output behaviour of the figure binaries: writes
-    /// [`trials_json`] to [`Harness::output`] when set (always, so a
-    /// file is produced in both table and `--json` mode), prints it to
-    /// stdout under `--json`. Returns `true` when the caller should skip
-    /// its text tables (`--json` mode).
-    ///
-    /// Exits with status 1 when the output file cannot be written (the
-    /// figure binaries have no recovery path for a failed write).
-    pub fn emit_trials(&self, trials: &[Trial]) -> bool {
-        let json = trials_json(trials);
+    /// The shared output behaviour of `exp run`: writes the result
+    /// document `doc` (see [`result_doc`]) to [`Harness::output`] when
+    /// set (always, so a file is produced in both table and `--json`
+    /// mode), prints it to stdout under `--json`. Returns `Ok(true)`
+    /// when the caller should skip its text tables (`--json` mode), and
+    /// an error naming the file when it cannot be written.
+    pub fn emit(&self, doc: &str) -> Result<bool, String> {
         if let Some(path) = &self.output {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("error: cannot write `{path}`: {e}");
-                std::process::exit(1);
-            }
+            std::fs::write(path, format!("{doc}\n"))
+                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         }
         if self.json {
-            println!("{json}");
+            println!("{doc}");
         }
-        self.json
+        Ok(self.json)
     }
 }
 
@@ -453,24 +408,12 @@ pub struct Trial {
     /// and measurement; excludes work shared across a grid row — program
     /// generation, the checkpoint load under [`WarmupMode::Checkpoint`]
     /// and the interpreter fast-forward under [`WarmupMode::Functional`]).
-    /// Deliberately excluded from [`Trial::to_json`] so the `--json`
-    /// figure output stays deterministic.
+    /// Deliberately excluded from [`Trial::to_json`] so result
+    /// documents stay deterministic.
     pub wall: std::time::Duration,
 }
 
 impl Trial {
-    /// Simulated KIPS: thousands of retired instructions per wall-clock
-    /// second of host time for this cell.
-    #[must_use]
-    pub fn kips(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.result.stats.retired as f64 / 1_000.0 / secs
-        }
-    }
-
     /// JSON object for this trial record.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -484,8 +427,8 @@ impl Trial {
     }
 }
 
-/// JSON array over trial records (the `--json` output of every figure
-/// binary).
+/// JSON array over trial records (the `trials` of a
+/// [`result_doc`]).
 #[must_use]
 pub fn trials_json(trials: &[Trial]) -> String {
     let body: Vec<String> = trials.iter().map(Trial::to_json).collect();

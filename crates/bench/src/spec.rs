@@ -5,9 +5,10 @@
 //! benchmarks, a parameter space of labelled configuration arms
 //! (presets + overrides + axes — see [`crate::space`]), the
 //! warm-up/measurement/seed policy, and an optional stop condition. The
-//! five figure binaries are committed spec files under `specs/` driving
-//! this one engine; `exp run spec.json` runs any spec from the command
-//! line.
+//! paper's five figures are committed spec files under `specs/`, read
+//! at run time: `exp run spec.json` runs any spec from the command line
+//! and renders the figure tables ([`crate::figures`]) of the committed
+//! ones.
 //!
 //! ```json
 //! {
@@ -48,7 +49,7 @@
 //! paths) are deliberately **not** part of the spec or the fingerprint.
 
 use crate::space::{Axis, AxisPoint, ParamSpace};
-use crate::{Harness, Sweep, Trial, WarmupMode};
+use crate::{Harness, Sweep, WarmupMode};
 use rix_isa::json::{unknown_key, Json};
 use rix_sim::{SimConfig, StopWhen};
 use rix_workloads::Benchmark;
@@ -326,29 +327,6 @@ impl ExperimentSpec {
             sweep = sweep.stop(stop.clone());
         }
         sweep
-    }
-
-    /// Parses an embedded spec, applies the harness overrides, and runs
-    /// it on the shared engine — the whole body of a spec-driven figure
-    /// binary, through [`Harness::run_sweep`] (trials stay byte-identical
-    /// under `--workers`/`--cache`/`--listen`; the dispatch summary goes
-    /// to stderr). Prints the error and exits with status 2 when the
-    /// spec is invalid (a broken committed spec) or the sweep fails.
-    #[must_use]
-    pub fn run_embedded(text: &str, h: &Harness) -> (Self, Vec<Trial>) {
-        let run = || -> Result<(Self, Vec<Trial>), String> {
-            let mut spec = Self::from_json(text)?;
-            spec.apply_harness(h);
-            let (trials, _) = h.run_sweep(&spec.sweep(h))?;
-            Ok((spec, trials))
-        };
-        match run() {
-            Ok(out) => out,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
     }
 }
 

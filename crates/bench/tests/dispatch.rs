@@ -672,3 +672,72 @@ fn dispatch_stats_flag_adds_worker_stats_to_the_document() {
     assert_eq!(trials_of(&plain), trials_of(&local));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cache_commands_refuse_a_missing_directory_without_creating_it() {
+    let dir = scratch("cache-missing");
+    let missing = dir.join("no-such-cache");
+    let path = missing.to_str().expect("utf-8");
+    for args in [vec!["cache", "stats", path], vec!["cache", "gc", path, "--older-than", "1d"]] {
+        let out = exp(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "exp {args:?}: {stderr}");
+        assert!(stderr.contains(path), "names the path: {stderr}");
+        assert!(!missing.exists(), "exp {args:?} created the directory");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_rejects_an_unknown_verb_before_touching_the_directory() {
+    let dir = scratch("cache-verb");
+    let missing = dir.join("no-such-cache");
+    let path = missing.to_str().expect("utf-8");
+    let out = exp(&["cache", "bogus", path], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown `exp cache` subcommand `bogus`"), "{stderr}");
+    assert!(!missing.exists(), "the rejected verb created the directory");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_gc_ages_cover_every_suffix_and_refuse_overflow() {
+    let dir = scratch("cache-gc-age");
+    let spec = write_spec(&dir, SPEC);
+    let cache_dir = dir.join("cache");
+    let cache = cache_dir.to_str().expect("utf-8");
+    run_json(&["--cache", cache], &[], &spec);
+    let entries = || std::fs::read_dir(&cache_dir).expect("cache dir").count();
+    assert_eq!(entries(), 4);
+    // Age every entry two days.
+    let two_days_ago = std::time::SystemTime::now() - Duration::from_secs(2 * 86_400);
+    for e in std::fs::read_dir(&cache_dir).expect("cache dir") {
+        std::fs::File::options()
+            .write(true)
+            .open(e.expect("entry").path())
+            .and_then(|f| f.set_modified(two_days_ago))
+            .expect("backdate entry");
+    }
+
+    // 213503982334602 days is more seconds than a u64 holds; unchecked,
+    // it wrapped to about 17 hours and deleted these entries.
+    let out = exp(&["cache", "gc", cache, "--older-than", "213503982334602d"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "an overflowing age is a usage error: {stderr}");
+    assert!(stderr.contains("213503982334602d"), "names the value: {stderr}");
+    assert_eq!(entries(), 4, "nothing was deleted");
+
+    // Three days in every unit keeps the two-day-old entries ...
+    for age in ["259200", "259200s", "4320m", "72h", "3d"] {
+        let out = exp(&["cache", "gc", cache, "--older-than", age], &[]);
+        assert!(out.status.success(), "--older-than {age}");
+        assert_eq!(entries(), 4, "--older-than {age} kept the entries");
+    }
+    // ... and one day removes them.
+    let out = exp(&["cache", "gc", cache, "--older-than", "1d"], &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.trim_end(), format!("cache {cache}: removed 4 entries"));
+    assert_eq!(entries(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -26,7 +26,8 @@
 //!   one coordinator over spawned or remote workers, and the
 //!   content-addressed trial cache,
 //! * [`bench`] — the experiment layer: the thread-parallel [`Sweep`]
-//!   grid runner and the figure binaries' shared [`Harness`].
+//!   grid runner, experiment specs, the paper's figure tables, and the
+//!   [`Harness`] flags of the `exp` runner.
 //!
 //! [`Sweep`]: bench::Sweep
 //! [`Harness`]: bench::Harness
@@ -204,11 +205,12 @@
 //! ```
 //!
 //! The same experiment is expressible as a **spec file** (schema
-//! `rix-exp/1`, see [`ExperimentSpec`](bench::ExperimentSpec)): the five
-//! figure binaries are committed specs under `specs/` driving one
-//! engine, and `exp run spec.json` (with `--dry-run`, `--list-arms`,
-//! `--json`, `--output`) runs any spec from the command line, embedding
-//! the spec's fingerprint in its results.
+//! `rix-exp/1`, see [`ExperimentSpec`](bench::ExperimentSpec)): the
+//! paper's five figures are committed specs under `specs/`, and
+//! `exp run spec.json` (with `--dry-run`, `--list-arms`, `--json`,
+//! `--output`) runs any spec from the command line, embedding the
+//! spec's fingerprint in its results and printing the figure's tables
+//! for the committed ones.
 //!
 //! **Migration note (`Sweep::configs`):** hand-built
 //! `(label, SimConfig)` lists still work — `Sweep::config`/`configs`
@@ -221,8 +223,8 @@
 //!
 //! Big grids shard across worker **processes** (crash isolation — a
 //! worker taken down by a bug or the OOM killer costs a retry, not the
-//! run) and re-runs reuse cached trials. On the command line every
-//! figure binary and `exp` take the same two flags:
+//! run) and re-runs reuse cached trials. On the command line `exp`
+//! takes two flags:
 //!
 //! ```text
 //! exp run specs/fig4.json --workers 4 --cache ~/.rix-cache --json
@@ -339,7 +341,7 @@ pub mod prelude {
         analyze_program, lint_program, Cfg, Dataflow, Diagnostic, LintCode, Opportunity,
     };
     pub use rix_bench::{
-        checkpoint_path, trials_json, Axis, AxisValue, DispatchOptions, DispatchReport,
+        checkpoint_path, result_doc, trials_json, Axis, AxisValue, DispatchOptions, DispatchReport,
         ExperimentSpec, Harness, ParamSpace, Sweep, Trial, WarmupMode,
     };
     pub use rix_dispatch::ResultCache;

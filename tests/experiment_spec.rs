@@ -11,8 +11,8 @@
 //! * `WarmupMode::Checkpoint` forks every arm from saved PR-4
 //!   checkpoints, equals a hand-rolled `from_checkpoint` fork, and
 //!   rejects a seed mismatch descriptively,
-//! * `Harness::emit_trials` writes `--output` files while preserving
-//!   table mode.
+//! * `Harness::emit` writes `--output` files while preserving table
+//!   mode.
 
 use rix::prelude::*;
 
@@ -208,19 +208,31 @@ fn checkpoint_seeded_spec_forks_every_arm_from_the_snapshot() {
 #[test]
 fn emit_trials_writes_the_output_file_and_preserves_table_mode() {
     let dir = temp_dir("out");
-    let out = format!("{dir}/trials.json");
-    let trials = Sweep::new()
-        .benchmarks([by_name("gcc").unwrap()])
-        .config("base", SimConfig::baseline())
-        .instructions(1000)
-        .run();
+    let out = format!("{dir}/result.json");
+    let spec = ExperimentSpec::from_json(
+        r#"{
+            "schema": "rix-exp/1",
+            "name": "emit",
+            "benchmarks": ["gcc"],
+            "instructions": 1000,
+            "arms": [{"label": "base", "preset": "base"}]
+        }"#,
+    )
+    .unwrap();
+    let trials = spec.sweep(&Harness::default()).try_run().unwrap();
+    let doc = result_doc(&spec, &trials, None, None);
     let h = Harness { output: Some(out.clone()), ..Harness::default() };
-    let skip_tables = h.emit_trials(&trials);
+    let skip_tables = h.emit(&doc).expect("file written");
     assert!(!skip_tables, "table mode: the caller still renders");
     let written = std::fs::read_to_string(&out).expect("file written");
-    assert_eq!(written, format!("{}\n", trials_json(&trials)));
+    assert_eq!(written, format!("{doc}\n"));
+    assert!(written.contains(&trials_json(&trials)), "the document holds the trial records");
     // The written file is machine-readable by the workspace's own
     // reader.
     assert!(rix::isa::json::Json::parse(written.trim_end()).is_ok());
+    // An unwritable path is an error naming it, not a panic or exit.
+    let bad = format!("{dir}/missing/result.json");
+    let h = Harness { output: Some(bad.clone()), ..Harness::default() };
+    assert!(h.emit(&doc).unwrap_err().contains(&bad));
     std::fs::remove_dir_all(&dir).ok();
 }
