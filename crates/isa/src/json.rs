@@ -1,10 +1,9 @@
-//! A minimal, dependency-free JSON reader for the repo's own formats.
+//! A minimal, dependency-free JSON reader, plus the one field table
+//! every config and counter struct serialises through.
 //!
-//! Several `rix` types serialise themselves with hand-rolled writers
-//! ([`crate::ArchState::to_json`], `RunResult::to_json`, the perf
-//! records); this module is the matching reader, used wherever a
-//! round-trip back into Rust is needed (checkpoint restore, baseline
-//! comparison). It is deliberately small:
+//! **The reader.** [`Json::parse`] reads the repo's own formats back
+//! into Rust wherever a round trip is needed (checkpoint restore, specs,
+//! cache entries, dispatch messages). It is deliberately small:
 //!
 //! * numbers keep their **raw text** so `u64` values round-trip exactly
 //!   (an `f64` intermediate would corrupt 64-bit memory words above
@@ -20,6 +19,42 @@
 //! let cell = &v.get("mem").unwrap().as_arr().unwrap()[0];
 //! assert_eq!(cell.as_arr().unwrap()[1].as_u64(), Some(u64::MAX));
 //! ```
+//!
+//! **The field table.** A struct names each of its fields exactly once,
+//! in a [`json_fields!`] list; the list is the JSON shape. Every field
+//! is written, in list order, as compact JSON with no whitespace, so the
+//! output is byte-stable: cache keys, dispatch plans, trial-cache
+//! entries and checkpoint hashes are all built from these strings. A
+//! field is any [`JsonField`]: the unsigned integers, `bool`,
+//! `[[u64; 2]; N]` histograms, string enums ([`json_enum!`]) and other
+//! tables, which nest as objects. Reading is typed: a value of the
+//! wrong JSON type, or out of range for its field (`4294967300` for a
+//! `u32`), is an error naming the key, never a silent truncation.
+//!
+//! * A **config** table (`json_fields!(Ty { .. })`) gets `Ty::KEYS`,
+//!   `Ty::to_json` and a partial `Ty::apply_json`: present keys
+//!   overwrite, omitted keys keep their value, unknown keys are rejected
+//!   with the closest known key suggested, and errors inside a nested
+//!   table are prefixed `key: `.
+//! * A **counter** table (`json_fields!(strict Ty { .. })`) is read
+//!   strictly: every key is required, so a truncated document is an
+//!   error rather than a run of zeros. It gets no inherent methods; use
+//!   [`to_string`] and [`field`].
+//!
+//! ```
+//! #[derive(Debug, Default, PartialEq)]
+//! struct Geometry { ways: usize, bits: u32, on: bool }
+//! rix_isa::json_fields!(Geometry { ways, on, bits });
+//!
+//! let mut g = Geometry { ways: 4, bits: 13, on: true };
+//! assert_eq!(g.to_json(), r#"{"ways":4,"on":true,"bits":13}"#);
+//! g.apply_json(&rix_isa::json::Json::parse(r#"{"bits":9}"#).unwrap()).unwrap();
+//! assert_eq!(g, Geometry { ways: 4, bits: 9, on: true });
+//! let err = g.apply_json(&rix_isa::json::Json::parse(r#"{"bits":4294967300}"#).unwrap());
+//! assert!(err.unwrap_err().contains("key `bits`"));
+//! ```
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Numbers are kept as raw text (see module docs).
 #[derive(Clone, Debug, PartialEq)]
@@ -160,28 +195,226 @@ impl Json {
     }
 }
 
-/// The value at object key `key` as an exact `u64`, with the standard
-/// type-mismatch message — the shared scalar reader of every
-/// hand-rolled config parser in the workspace.
-pub fn expect_u64(key: &str, v: &Json) -> Result<u64, String> {
-    v.as_u64().ok_or_else(|| format!("key `{key}` must be an unsigned integer"))
+// ----- the field table ------------------------------------------------
+
+/// One field of a [`json_fields!`] table (see the [module docs](self)):
+/// a value that writes itself as JSON and reads itself back.
+pub trait JsonField {
+    /// Appends the value's compact JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// Overwrites `self` from `v`, the value at object key `key`; errors
+    /// name `key`.
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String>;
 }
 
-/// As [`expect_u64`], for booleans.
-pub fn expect_bool(key: &str, v: &Json) -> Result<bool, String> {
-    v.as_bool().ok_or_else(|| format!("key `{key}` must be a boolean"))
+impl JsonField for u64 {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        *self = v.as_u64().ok_or_else(|| format!("key `{key}` must be an unsigned integer"))?;
+        Ok(())
+    }
 }
 
-/// As [`expect_u64`], for strings.
-pub fn expect_str(key: &str, v: &Json) -> Result<String, String> {
-    v.as_str().map(str::to_string).ok_or_else(|| format!("key `{key}` must be a string"))
+macro_rules! narrow_uint_field {
+    ($($t:ty),+) => {$(
+        impl JsonField for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+                let mut wide = 0u64;
+                wide.read_json(key, v)?;
+                let ty = stringify!($t);
+                *self = <$t>::try_from(wide).map_err(|_| {
+                    format!("key `{key}` is out of range: {wide} does not fit in {ty}")
+                })?;
+                Ok(())
+            }
+        }
+    )+};
+}
+
+narrow_uint_field!(u32, usize);
+
+impl JsonField for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        *self = v.as_bool().ok_or_else(|| format!("key `{key}` must be a boolean"))?;
+        Ok(())
+    }
+}
+
+/// A `[direct, reverse]` histogram (the integration breakdowns).
+impl<const N: usize> JsonField for [[u64; 2]; N] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, [d, r]) in self.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}[{d},{r}]");
+        }
+        out.push(']');
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        let cells = v
+            .as_arr()
+            .filter(|a| a.len() == N)
+            .ok_or_else(|| format!("key `{key}` is not a {N}-entry histogram"))?;
+        for (i, (cell, out)) in cells.iter().zip(self.iter_mut()).enumerate() {
+            let pair = match cell.as_arr() {
+                Some([d, r]) => d.as_u64().zip(r.as_u64()),
+                _ => None,
+            };
+            let (d, r) =
+                pair.ok_or_else(|| format!("`{key}`[{i}] is not a [direct, reverse] pair"))?;
+            *out = [d, r];
+        }
+        Ok(())
+    }
+}
+
+/// Serialises any [`JsonField`] (for a counter table, the only writer).
+#[must_use]
+pub fn to_string<T: JsonField>(value: &T) -> String {
+    let mut out = String::with_capacity(256);
+    value.write_json(&mut out);
+    out
+}
+
+/// Reads the [`JsonField`] at object key `key` of `obj`, onto its
+/// default (a missing key is an error naming it).
+pub fn field<T: JsonField + Default>(obj: &Json, key: &str) -> Result<T, String> {
+    let mut value = T::default();
+    value.read_json(key, obj.req(key)?)?;
+    Ok(value)
+}
+
+/// The object reader behind every [`json_fields!`] table: `set(key,
+/// value)` applies one field, or returns `None` for a key the table does
+/// not have, which is then rejected with [`unknown_key`]. Under
+/// `strict`, every one of `keys` must be present.
+pub fn read_object(
+    v: &Json,
+    what: &str,
+    keys: &[&str],
+    strict: bool,
+    mut set: impl FnMut(&str, &Json) -> Option<Result<(), String>>,
+) -> Result<(), String> {
+    let Json::Obj(fields) = v else {
+        return Err(format!("{what} must be a JSON object"));
+    };
+    if let Some(k) = keys.iter().find(|k| strict && v.get(k).is_none()) {
+        return Err(format!("missing key `{k}`"));
+    }
+    for (k, val) in fields {
+        set(k, val).unwrap_or_else(|| Err(unknown_key(k, keys)))?;
+    }
+    Ok(())
+}
+
+/// Declares a struct's JSON field table (see the [module docs](self)):
+/// `json_fields!(Ty { a, b, c })` for a config with partial
+/// `apply_json`, `json_fields!(strict Ty { a, b, c })` for a counter
+/// table that requires every key. The list order is the key order.
+#[macro_export]
+macro_rules! json_fields {
+    ($ty:ident { $($f:ident),+ $(,)? }) => {
+        impl $ty {
+            #[doc = concat!(
+                "The field names [`", stringify!($ty), "::apply_json`] accepts, in key order."
+            )]
+            pub const KEYS: &'static [&'static str] = &[$(stringify!($f)),+];
+
+            /// Serialises every field, in [`Self::KEYS`] order (see
+            /// [`rix_isa::json`](mod@rix_isa::json)).
+            #[must_use]
+            pub fn to_json(&self) -> String {
+                $crate::json::to_string(self)
+            }
+
+            /// Applies a (possibly partial) JSON object: present keys
+            /// overwrite (nested tables may themselves be partial),
+            /// omitted keys keep their current value, unknown keys are
+            /// rejected with an error naming them.
+            pub fn apply_json(&mut self, v: &$crate::json::Json) -> Result<(), String> {
+                $crate::json_fields!(@read self, v, $ty, Self::KEYS, false, $($f),+)
+            }
+        }
+
+        impl $crate::json::JsonField for $ty {
+            fn write_json(&self, out: &mut String) {
+                $crate::json_fields!(@write self, out, $($f),+);
+            }
+
+            fn read_json(&mut self, key: &str, v: &$crate::json::Json) -> Result<(), String> {
+                self.apply_json(v).map_err(|e| format!("{key}: {e}"))
+            }
+        }
+    };
+    (strict $ty:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::json::JsonField for $ty {
+            fn write_json(&self, out: &mut String) {
+                $crate::json_fields!(@write self, out, $($f),+);
+            }
+
+            fn read_json(&mut self, key: &str, v: &$crate::json::Json) -> Result<(), String> {
+                let keys = &[$(stringify!($f)),+];
+                $crate::json_fields!(@read self, v, $ty, keys, true, $($f),+)
+                    .map_err(|e| format!("{key}: {e}"))
+            }
+        }
+    };
+    (@write $self:ident, $out:ident, $first:ident $(, $f:ident)*) => {
+        $out.push_str(concat!("{\"", stringify!($first), "\":"));
+        $crate::json::JsonField::write_json(&$self.$first, $out);
+        $(
+            $out.push_str(concat!(",\"", stringify!($f), "\":"));
+            $crate::json::JsonField::write_json(&$self.$f, $out);
+        )*
+        $out.push('}');
+    };
+    (@read $self:ident, $v:ident, $ty:ident, $keys:expr, $strict:expr, $($f:ident),+) => {
+        $crate::json::read_object($v, stringify!($ty), $keys, $strict, |k, val| match k {
+            $(stringify!($f) => Some($crate::json::JsonField::read_json(&mut $self.$f, k, val)),)+
+            _ => None,
+        })
+    };
+}
+
+/// Makes string enums [`JsonField`]s through their own `as_str` (the
+/// stable JSON name) and `parse` (whose error lists the choices).
+#[macro_export]
+macro_rules! json_enum {
+    ($($ty:ident),+ $(,)?) => {$(
+        impl $crate::json::JsonField for $ty {
+            fn write_json(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.as_str());
+                out.push('"');
+            }
+
+            fn read_json(&mut self, key: &str, v: &$crate::json::Json) -> Result<(), String> {
+                let name = v.as_str().ok_or_else(|| format!("key `{key}` must be a string"))?;
+                *self = Self::parse(name)?;
+                Ok(())
+            }
+        }
+    )+};
 }
 
 /// The standard error message for a key the reader does not recognise:
 /// names the offending key, suggests the closest known key (by edit
-/// distance), and lists all known keys. Shared by every hand-rolled
-/// config/spec reader in the workspace so unknown-key rejection reads
-/// the same everywhere.
+/// distance), and lists all known keys. Shared by the field tables and
+/// every hand-rolled spec reader in the workspace so unknown-key
+/// rejection reads the same everywhere.
 #[must_use]
 pub fn unknown_key(key: &str, known: &[&str]) -> String {
     let closest = known
@@ -423,6 +656,75 @@ b""#,
         let msg = unknown_key("flux_capacitor_coefficient", &["ways"]);
         assert!(msg.contains("known keys: ways"), "{msg}");
         assert!(!msg.contains("did you mean"), "{msg}");
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Inner {
+        hits: u64,
+        hist: [[u64; 2]; 2],
+    }
+    crate::json_fields!(strict Inner { hist, hits });
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Outer {
+        on: bool,
+        bits: u32,
+        inner: Inner,
+    }
+    crate::json_fields!(strict Outer { bits, inner, on });
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Knobs {
+        ways: usize,
+        depth: u64,
+    }
+    crate::json_fields!(Knobs { ways, depth });
+
+    #[test]
+    fn field_tables_write_in_list_order_and_read_back() {
+        let v = Outer { on: true, bits: 7, inner: Inner { hits: 3, hist: [[1, 2], [3, u64::MAX]] } };
+        let text = to_string(&v);
+        assert_eq!(
+            text,
+            r#"{"bits":7,"inner":{"hist":[[1,2],[3,18446744073709551615]],"hits":3},"on":true}"#
+        );
+        let doc = Json::parse(&format!(r#"{{"v":{text}}}"#)).unwrap();
+        assert_eq!(field::<Outer>(&doc, "v").unwrap(), v);
+    }
+
+    #[test]
+    fn strict_tables_require_every_key_and_prefix_nested_errors() {
+        let read = |text: &str| field::<Outer>(&Json::parse(text).unwrap(), "v");
+        let err = read(r#"{"v":{"bits":1,"on":true}}"#).unwrap_err();
+        assert_eq!(err, "v: missing key `inner`");
+        let err = read(r#"{"v":{"bits":1,"on":true,"inner":{"hits":1}}}"#).unwrap_err();
+        assert_eq!(err, "v: inner: missing key `hist`");
+        let err = read(r#"{"v":{"bits":1,"on":true,"inner":{"hits":1,"hist":[[1,2]]}}}"#);
+        assert!(err.unwrap_err().contains("key `hist` is not a 2-entry histogram"));
+        let err = read(r#"{"v":{"bits":1,"on":true,"inner":{"hits":1,"hist":[[1,2],[3]]}}}"#);
+        assert!(err.unwrap_err().contains("`hist`[1] is not a [direct, reverse] pair"));
+        let err = read(r#"{"v":{"bits":1,"on":1,"inner":{"hits":1,"hist":[[1,2],[3,4]]}}}"#);
+        assert_eq!(err.unwrap_err(), "v: key `on` must be a boolean");
+        let err = read(r#"{"v":[]}"#).unwrap_err();
+        assert_eq!(err, "v: Outer must be a JSON object");
+    }
+
+    #[test]
+    fn config_tables_apply_partially_and_reject_bad_keys_and_values() {
+        let mut k = Knobs { ways: 4, depth: 9 };
+        assert_eq!(Knobs::KEYS, ["ways", "depth"]);
+        assert_eq!(k.to_json(), r#"{"ways":4,"depth":9}"#);
+        k.apply_json(&Json::parse(r#"{"depth":2}"#).unwrap()).unwrap();
+        assert_eq!(k, Knobs { ways: 4, depth: 2 });
+        let err = k.apply_json(&Json::parse(r#"{"wayz":1}"#).unwrap()).unwrap_err();
+        assert!(err.starts_with("unknown key `wayz` (did you mean `ways`?)"), "{err}");
+        let err = k.apply_json(&Json::parse(r#"{"ways":"many"}"#).unwrap()).unwrap_err();
+        assert_eq!(err, "key `ways` must be an unsigned integer");
+        let mut bits = 0u32;
+        let err = bits.read_json("bits", &Json::Num("4294967296".into())).unwrap_err();
+        assert_eq!(err, "key `bits` is out of range: 4294967296 does not fit in u32");
+        bits.read_json("bits", &Json::Num("4294967295".into())).unwrap();
+        assert_eq!(bits, u32::MAX);
     }
 
     #[test]

@@ -66,41 +66,9 @@ impl CacheConfig {
         }
         Ok(())
     }
-
-    /// The field names [`CacheConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["size_bytes", "line_bytes", "ways", "hit_latency"];
-
-    /// Serialises the geometry as a JSON object (every field, stable
-    /// key order; round-trips exactly through [`CacheConfig::apply_json`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"size_bytes":{},"line_bytes":{},"ways":{},"hit_latency":{}}}"#,
-            self.size_bytes, self.line_bytes, self.ways, self.hit_latency
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object onto this geometry:
-    /// present keys overwrite, omitted keys keep their current value,
-    /// unknown keys are rejected with an error naming them.
-    pub fn apply_json(&mut self, v: &rix_isa::json::Json) -> Result<(), String> {
-        use rix_isa::json::expect_u64;
-        let rix_isa::json::Json::Obj(fields) = v else {
-            return Err("cache config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "size_bytes" => self.size_bytes = expect_u64(k, val)?,
-                "line_bytes" => self.line_bytes = expect_u64(k, val)?,
-                "ways" => self.ways = expect_u64(k, val)? as usize,
-                "hit_latency" => self.hit_latency = expect_u64(k, val)?,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
 }
+
+rix_isa::json_fields!(CacheConfig { size_bytes, line_bytes, ways, hit_latency });
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
@@ -133,6 +101,8 @@ impl CacheStats {
         }
     }
 }
+
+rix_isa::json_fields!(strict CacheStats { hits, misses, writebacks });
 
 /// A dirty victim evicted by [`Cache::fill`], which the next level must
 /// absorb.

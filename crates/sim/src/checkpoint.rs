@@ -5,8 +5,9 @@
 //! statistics accumulated so far (every raw counter, losslessly — the
 //! figure-facing [`SimStats::to_json`] serialises derived metrics and is
 //! not invertible), and the absolute cycle count. It serialises to a
-//! single hand-rolled JSON document (schema `rix-ckpt/1`) that
-//! `python3 -m json.tool` — and [`rix_isa::json`] — can read back.
+//! single JSON document (schema `rix-ckpt/1`; the counters through the
+//! strict [`rix_isa::json`] field tables) that `python3 -m json.tool` —
+//! and [`rix_isa::json`] — can read back.
 //!
 //! The contract (see [`Simulator::checkpoint`]): a session that
 //! checkpoints and keeps running is byte-identical to one that saves the
@@ -39,11 +40,9 @@
 //! ```
 
 use crate::stats::SimStats;
-use rix_integration::IntegrationStats;
-use rix_isa::json::Json;
+use rix_isa::json::{self, Json};
 use rix_isa::{ArchState, Program};
-use rix_mem::{CacheStats, Cycle, MemSystemStats};
-use std::fmt::Write as _;
+use rix_mem::Cycle;
 use std::path::Path;
 
 /// A serialisable session snapshot at a retirement boundary. See the
@@ -106,7 +105,7 @@ impl Checkpoint {
             r#"{{"schema":"rix-ckpt/1","cycle":{},"program_hash":{},"stats":{},"arch":{}}}"#,
             self.cycle,
             self.program_hash,
-            stats_to_json(&self.stats),
+            json::to_string(&self.stats),
             self.arch.to_json(),
         )
     }
@@ -119,9 +118,9 @@ impl Checkpoint {
             other => return Err(format!("unsupported checkpoint schema {other:?}")),
         }
         Ok(Self {
-            cycle: v.req_u64("cycle")?,
-            program_hash: v.req_u64("program_hash")?,
-            stats: stats_from_json(v.req("stats")?)?,
+            cycle: json::field(&v, "cycle")?,
+            program_hash: json::field(&v, "program_hash")?,
+            stats: json::field(&v, "stats")?,
             arch: ArchState::from_json_value(v.req("arch")?)?,
         })
     }
@@ -154,7 +153,7 @@ pub fn result_to_json(r: &crate::RunResult) -> String {
         r#"{{"halted":{},"timed_out":{},"stats":{}}}"#,
         r.halted,
         r.timed_out,
-        stats_to_json(&r.stats),
+        json::to_string(&r.stats),
     )
 }
 
@@ -164,182 +163,10 @@ pub fn result_to_json(r: &crate::RunResult) -> String {
 ///
 /// [`RunResult`]: crate::RunResult
 pub fn result_from_json(v: &Json) -> Result<crate::RunResult, String> {
-    let flag = |key: &str| -> Result<bool, String> {
-        v.req(key)?.as_bool().ok_or_else(|| format!("key `{key}` must be a boolean"))
-    };
     Ok(crate::RunResult {
-        halted: flag("halted")?,
-        timed_out: flag("timed_out")?,
-        stats: stats_from_json(v.req("stats")?)?,
-    })
-}
-
-// ----- lossless SimStats serialisation ----------------------------------
-
-fn hist_json<const N: usize>(h: &[[u64; 2]; N]) -> String {
-    let cells: Vec<String> = h.iter().map(|[d, r]| format!("[{d},{r}]")).collect();
-    format!("[{}]", cells.join(","))
-}
-
-fn hist_from_json<const N: usize>(v: &Json, key: &str) -> Result<[[u64; 2]; N], String> {
-    let arr = v
-        .req(key)?
-        .as_arr()
-        .filter(|a| a.len() == N)
-        .ok_or_else(|| format!("key `{key}` is not a {N}-entry histogram"))?;
-    let mut out = [[0u64; 2]; N];
-    for (i, cell) in arr.iter().enumerate() {
-        let pair = cell.as_arr().filter(|p| p.len() == 2);
-        let (d, r) = pair
-            .and_then(|p| Some((p[0].as_u64()?, p[1].as_u64()?)))
-            .ok_or_else(|| format!("`{key}`[{i}] is not a [direct, reverse] pair"))?;
-        out[i] = [d, r];
-    }
-    Ok(out)
-}
-
-fn cache_json(c: CacheStats) -> String {
-    format!(r#"{{"hits":{},"misses":{},"writebacks":{}}}"#, c.hits, c.misses, c.writebacks)
-}
-
-fn cache_from_json(v: &Json, key: &str) -> Result<CacheStats, String> {
-    let c = v.req(key)?;
-    Ok(CacheStats {
-        hits: c.req_u64("hits")?,
-        misses: c.req_u64("misses")?,
-        writebacks: c.req_u64("writebacks")?,
-    })
-}
-
-/// Serialises **every raw counter** of [`SimStats`] (unlike the
-/// figure-facing [`SimStats::to_json`], which emits derived metrics and
-/// drops some raw sums).
-fn stats_to_json(s: &SimStats) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        concat!(
-            r#"{{"cycles":{},"retired":{},"fetched":{},"executed":{},"#,
-            r#""loads_executed":{},"loads_retired":{},"stores_retired":{},"#,
-            r#""cond_branches_retired":{},"branch_mispredicts":{},"#,
-            r#""resolution_latency_sum":{},"squashes_branch":{},"#,
-            r#""squashes_memorder":{},"squashes_diva":{},"rs_occupancy_sum":{},"#,
-            r#""rob_occupancy_sum":{},"stalls_preg":{},"stalls_rob":{},"#,
-            r#""stalls_rs":{},"stalls_lsq":{},"stalls_writebuf":{}"#
-        ),
-        s.cycles,
-        s.retired,
-        s.fetched,
-        s.executed,
-        s.loads_executed,
-        s.loads_retired,
-        s.stores_retired,
-        s.cond_branches_retired,
-        s.branch_mispredicts,
-        s.resolution_latency_sum,
-        s.squashes_branch,
-        s.squashes_memorder,
-        s.squashes_diva,
-        s.rs_occupancy_sum,
-        s.rob_occupancy_sum,
-        s.stalls_preg,
-        s.stalls_rob,
-        s.stalls_rs,
-        s.stalls_lsq,
-        s.stalls_writebuf,
-    );
-    let i = &s.integration;
-    let _ = write!(
-        out,
-        concat!(
-            r#","integration":{{"direct":{},"reverse":{},"retired":{},"#,
-            r#""mis_integrations":{},"load_mis_integrations":{},"#,
-            r#""register_mis_integrations":{},"suppressed":{},"#,
-            r#""by_type":{},"by_distance":{},"by_status":{},"by_refcount":{}}}"#
-        ),
-        i.direct,
-        i.reverse,
-        i.retired,
-        i.mis_integrations,
-        i.load_mis_integrations,
-        i.register_mis_integrations,
-        i.suppressed,
-        hist_json(&i.by_type),
-        hist_json(&i.by_distance),
-        hist_json(&i.by_status),
-        hist_json(&i.by_refcount),
-    );
-    let m = &s.mem;
-    let _ = write!(
-        out,
-        concat!(
-            r#","mem":{{"l1i":{},"l1d":{},"l2":{},"itlb_misses":{},"#,
-            r#""dtlb_misses":{},"mshr_merges":{},"write_buffer_stalls":{},"#,
-            r#""backside_busy":{},"membus_busy":{}}}}}"#
-        ),
-        cache_json(m.l1i),
-        cache_json(m.l1d),
-        cache_json(m.l2),
-        m.itlb_misses,
-        m.dtlb_misses,
-        m.mshr_merges,
-        m.write_buffer_stalls,
-        m.backside_busy,
-        m.membus_busy,
-    );
-    out
-}
-
-fn stats_from_json(v: &Json) -> Result<SimStats, String> {
-    let iv = v.req("integration")?;
-    let integration = IntegrationStats {
-        direct: iv.req_u64("direct")?,
-        reverse: iv.req_u64("reverse")?,
-        retired: iv.req_u64("retired")?,
-        mis_integrations: iv.req_u64("mis_integrations")?,
-        load_mis_integrations: iv.req_u64("load_mis_integrations")?,
-        register_mis_integrations: iv.req_u64("register_mis_integrations")?,
-        suppressed: iv.req_u64("suppressed")?,
-        by_type: hist_from_json(iv, "by_type")?,
-        by_distance: hist_from_json(iv, "by_distance")?,
-        by_status: hist_from_json(iv, "by_status")?,
-        by_refcount: hist_from_json(iv, "by_refcount")?,
-    };
-    let mv = v.req("mem")?;
-    let mem = MemSystemStats {
-        l1i: cache_from_json(mv, "l1i")?,
-        l1d: cache_from_json(mv, "l1d")?,
-        l2: cache_from_json(mv, "l2")?,
-        itlb_misses: mv.req_u64("itlb_misses")?,
-        dtlb_misses: mv.req_u64("dtlb_misses")?,
-        mshr_merges: mv.req_u64("mshr_merges")?,
-        write_buffer_stalls: mv.req_u64("write_buffer_stalls")?,
-        backside_busy: mv.req_u64("backside_busy")?,
-        membus_busy: mv.req_u64("membus_busy")?,
-    };
-    Ok(SimStats {
-        cycles: v.req_u64("cycles")?,
-        retired: v.req_u64("retired")?,
-        fetched: v.req_u64("fetched")?,
-        executed: v.req_u64("executed")?,
-        loads_executed: v.req_u64("loads_executed")?,
-        loads_retired: v.req_u64("loads_retired")?,
-        stores_retired: v.req_u64("stores_retired")?,
-        cond_branches_retired: v.req_u64("cond_branches_retired")?,
-        branch_mispredicts: v.req_u64("branch_mispredicts")?,
-        resolution_latency_sum: v.req_u64("resolution_latency_sum")?,
-        squashes_branch: v.req_u64("squashes_branch")?,
-        squashes_memorder: v.req_u64("squashes_memorder")?,
-        squashes_diva: v.req_u64("squashes_diva")?,
-        rs_occupancy_sum: v.req_u64("rs_occupancy_sum")?,
-        rob_occupancy_sum: v.req_u64("rob_occupancy_sum")?,
-        stalls_preg: v.req_u64("stalls_preg")?,
-        stalls_rob: v.req_u64("stalls_rob")?,
-        stalls_rs: v.req_u64("stalls_rs")?,
-        stalls_lsq: v.req_u64("stalls_lsq")?,
-        stalls_writebuf: v.req_u64("stalls_writebuf")?,
-        integration,
-        mem,
+        halted: json::field(v, "halted")?,
+        timed_out: json::field(v, "timed_out")?,
+        stats: json::field(v, "stats")?,
     })
 }
 
@@ -406,6 +233,52 @@ mod tests {
         assert_eq!(result_to_json(&back), text, "byte-stable round trip");
         // And it is the *lossless* form, not the derived-metric one.
         assert!(text.contains("\"rs_occupancy_sum\""), "{text}");
+    }
+
+    /// Every object-key path in `v` (`["stats", "mem", "l1d", "hits"]`, …).
+    fn key_paths(v: &Json, prefix: &[String], out: &mut Vec<Vec<String>>) {
+        if let Json::Obj(fields) = v {
+            for (k, val) in fields {
+                let mut path = prefix.to_vec();
+                path.push(k.clone());
+                key_paths(val, &path, out);
+                out.push(path);
+            }
+        }
+    }
+
+    fn without(v: &Json, path: &[String]) -> Json {
+        let Json::Obj(fields) = v else { unreachable!("paths only run through objects") };
+        let fields = fields
+            .iter()
+            .filter(|(k, _)| path.len() > 1 || *k != path[0])
+            .map(|(k, val)| {
+                let inner = path.len() > 1 && *k == path[0];
+                (k.clone(), if inner { without(val, &path[1..]) } else { val.clone() })
+            })
+            .collect();
+        Json::Obj(fields)
+    }
+
+    #[test]
+    fn result_from_json_requires_every_counter_key() {
+        // A truncated trial-cache entry must read as an error (a cache
+        // miss), never as a result whose missing counters are zero.
+        let p = busy_program();
+        let r = Simulator::new(&p, SimConfig::default()).run_budget(2_000);
+        let doc = Json::parse(&result_to_json(&r)).expect("well-formed");
+        let mut paths = Vec::new();
+        key_paths(&doc, &[], &mut paths);
+        assert!(paths.len() > 50, "every counter is a key: {}", paths.len());
+        for path in &paths {
+            let cut = without(&doc, path);
+            assert!(
+                result_from_json(&cut).is_err(),
+                "dropping `{}` still parsed",
+                path.join(".")
+            );
+        }
+        assert_eq!(result_from_json(&doc).expect("the whole document parses"), r);
     }
 
     #[test]

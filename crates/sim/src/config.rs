@@ -53,52 +53,7 @@ impl Default for IssueConfig {
     }
 }
 
-impl IssueConfig {
-    /// The field names [`IssueConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["width", "simple", "complex", "load", "store", "shared_ldst"];
-
-    /// Serialises the issue limits as a JSON object (every field, stable
-    /// key order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"width":{},"simple":{},"complex":{},"load":{},"store":{},"shared_ldst":{}}}"#,
-            self.width, self.simple, self.complex, self.load, self.store, self.shared_ldst
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object: present keys overwrite,
-    /// omitted keys keep their current value, unknown keys are rejected
-    /// with an error naming them.
-    pub fn apply_json(&mut self, v: &Json) -> Result<(), String> {
-        let Json::Obj(fields) = v else {
-            return Err("issue config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "width" => self.width = req_usize(k, val)?,
-                "simple" => self.simple = req_usize(k, val)?,
-                "complex" => self.complex = req_usize(k, val)?,
-                "load" => self.load = req_usize(k, val)?,
-                "store" => self.store = req_usize(k, val)?,
-                "shared_ldst" => {
-                    self.shared_ldst = val
-                        .as_bool()
-                        .ok_or_else(|| format!("key `{k}` must be a boolean"))?;
-                }
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
-}
-
-use rix_isa::json::expect_u64 as req_u64;
-
-fn req_usize(key: &str, v: &Json) -> Result<usize, String> {
-    Ok(req_u64(key, v)? as usize)
-}
+rix_isa::json_fields!(IssueConfig { width, simple, complex, load, store, shared_ldst });
 
 /// Out-of-order core geometry and pipeline depths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,77 +122,22 @@ impl CoreConfig {
     pub fn iw3_rs20() -> Self {
         Self { rs_entries: 20, issue: IssueConfig::reduced(), ..Self::default() }
     }
-
-    /// The field names [`CoreConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] = &[
-        "fetch_width",
-        "rename_width",
-        "retire_width",
-        "rob_entries",
-        "lsq_entries",
-        "rs_entries",
-        "issue",
-        "front_delay",
-        "sched_delay",
-        "regread_delay",
-        "diva_delay",
-        "fetch_queue",
-    ];
-
-    /// Serialises the core geometry as a JSON object (every field,
-    /// stable key order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                r#"{{"fetch_width":{},"rename_width":{},"retire_width":{},"#,
-                r#""rob_entries":{},"lsq_entries":{},"rs_entries":{},"issue":{},"#,
-                r#""front_delay":{},"sched_delay":{},"regread_delay":{},"#,
-                r#""diva_delay":{},"fetch_queue":{}}}"#
-            ),
-            self.fetch_width,
-            self.rename_width,
-            self.retire_width,
-            self.rob_entries,
-            self.lsq_entries,
-            self.rs_entries,
-            self.issue.to_json(),
-            self.front_delay,
-            self.sched_delay,
-            self.regread_delay,
-            self.diva_delay,
-            self.fetch_queue,
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object (the nested `issue`
-    /// object may itself be partial): present keys overwrite, omitted
-    /// keys keep their current value, unknown keys are rejected with an
-    /// error naming them.
-    pub fn apply_json(&mut self, v: &Json) -> Result<(), String> {
-        let Json::Obj(fields) = v else {
-            return Err("core config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "fetch_width" => self.fetch_width = req_usize(k, val)?,
-                "rename_width" => self.rename_width = req_usize(k, val)?,
-                "retire_width" => self.retire_width = req_usize(k, val)?,
-                "rob_entries" => self.rob_entries = req_usize(k, val)?,
-                "lsq_entries" => self.lsq_entries = req_usize(k, val)?,
-                "rs_entries" => self.rs_entries = req_usize(k, val)?,
-                "issue" => self.issue.apply_json(val).map_err(|e| format!("issue: {e}"))?,
-                "front_delay" => self.front_delay = req_u64(k, val)?,
-                "sched_delay" => self.sched_delay = req_u64(k, val)?,
-                "regread_delay" => self.regread_delay = req_u64(k, val)?,
-                "diva_delay" => self.diva_delay = req_u64(k, val)?,
-                "fetch_queue" => self.fetch_queue = req_usize(k, val)?,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
 }
+
+rix_isa::json_fields!(CoreConfig {
+    fetch_width,
+    rename_width,
+    retire_width,
+    rob_entries,
+    lsq_entries,
+    rs_entries,
+    issue,
+    front_delay,
+    sched_delay,
+    regread_delay,
+    diva_delay,
+    fetch_queue,
+});
 
 /// Complete simulator configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,6 +168,8 @@ impl Default for SimConfig {
         }
     }
 }
+
+rix_isa::json_fields!(SimConfig { core, mem, integration, predictor, num_pregs, stack_top });
 
 impl SimConfig {
     /// The no-integration baseline processor.
@@ -332,52 +234,11 @@ impl SimConfig {
 
     // ----- JSON round trip ----------------------------------------------
 
-    /// The field names [`SimConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["core", "mem", "integration", "predictor", "num_pregs", "stack_top"];
-
-    /// Serialises the complete configuration as a JSON object. The
-    /// serialisation is **exact**: [`SimConfig::from_json`] of the output
-    /// equals the input, field for field, for any configuration.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"core":{},"mem":{},"integration":{},"predictor":{},"num_pregs":{},"stack_top":{}}}"#,
-            self.core.to_json(),
-            self.mem.to_json(),
-            self.integration.to_json(),
-            self.predictor.to_json(),
-            self.num_pregs,
-            self.stack_top,
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object onto this configuration:
-    /// present keys overwrite (nested objects may themselves be
-    /// partial), omitted keys keep their current value, unknown keys are
-    /// rejected with an error naming them and their position.
-    pub fn apply_json(&mut self, v: &Json) -> Result<(), String> {
-        let Json::Obj(fields) = v else {
-            return Err("simulator config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            let nest = |e: String| format!("{k}: {e}");
-            match k.as_str() {
-                "core" => self.core.apply_json(val).map_err(nest)?,
-                "mem" => self.mem.apply_json(val).map_err(nest)?,
-                "integration" => self.integration.apply_json(val).map_err(nest)?,
-                "predictor" => self.predictor.apply_json(val).map_err(nest)?,
-                "num_pregs" => self.num_pregs = req_usize(k, val)?,
-                "stack_top" => self.stack_top = req_u64(k, val)?,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
-
     /// Parses a configuration from JSON text: [`SimConfig::default`]
     /// plus the document's (possibly partial) overrides. `{}` is the
-    /// default machine; unknown keys anywhere are rejected.
+    /// default machine; unknown keys anywhere are rejected. The round
+    /// trip is exact: `from_json(&c.to_json())` equals `c`, field for
+    /// field, for any configuration.
     pub fn from_json(text: &str) -> Result<Self, String> {
         Self::from_json_value(&Json::parse(text)?)
     }

@@ -1,7 +1,7 @@
 //! Simulation statistics.
 
 use rix_integration::IntegrationStats;
-use rix_mem::{CacheStats, MemSystemStats};
+use rix_mem::MemSystemStats;
 
 /// Everything the evaluation section measures, accumulated over a run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -54,6 +54,34 @@ pub struct SimStats {
     /// Memory hierarchy counters.
     pub mem: MemSystemStats,
 }
+
+// The lossless codec (checkpoints, the dispatch wire format, trial-cache
+// payloads). Its key order is not the declaration order: it is the order
+// these documents have always had, and their hashes depend on it.
+rix_isa::json_fields!(strict SimStats {
+    cycles,
+    retired,
+    fetched,
+    executed,
+    loads_executed,
+    loads_retired,
+    stores_retired,
+    cond_branches_retired,
+    branch_mispredicts,
+    resolution_latency_sum,
+    squashes_branch,
+    squashes_memorder,
+    squashes_diva,
+    rs_occupancy_sum,
+    rob_occupancy_sum,
+    stalls_preg,
+    stalls_rob,
+    stalls_rs,
+    stalls_lsq,
+    stalls_writebuf,
+    integration,
+    mem,
+});
 
 impl SimStats {
     /// Retired instructions per cycle.
@@ -154,13 +182,6 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-fn cache_json(c: CacheStats) -> String {
-    format!(
-        r#"{{"hits":{},"misses":{},"writebacks":{}}}"#,
-        c.hits, c.misses, c.writebacks
-    )
-}
-
 impl SimStats {
     /// Serialises the statistics as a JSON object (see
     /// [`RunResult::to_json`]).
@@ -180,22 +201,6 @@ impl SimStats {
             self.integration.load_mis_integrations,
             self.integration.register_mis_integrations,
             json_f64(self.integration.mis_per_million()),
-        );
-        let mem = format!(
-            concat!(
-                r#"{{"l1i":{},"l1d":{},"l2":{},"itlb_misses":{},"dtlb_misses":{},"#,
-                r#""mshr_merges":{},"write_buffer_stalls":{},"backside_busy":{},"#,
-                r#""membus_busy":{}}}"#
-            ),
-            cache_json(self.mem.l1i),
-            cache_json(self.mem.l1d),
-            cache_json(self.mem.l2),
-            self.mem.itlb_misses,
-            self.mem.dtlb_misses,
-            self.mem.mshr_merges,
-            self.mem.write_buffer_stalls,
-            self.mem.backside_busy,
-            self.mem.membus_busy,
         );
         format!(
             concat!(
@@ -228,7 +233,7 @@ impl SimStats {
             self.stalls_lsq,
             self.stalls_writebuf,
             integration,
-            mem,
+            rix_isa::json::to_string(&self.mem),
         )
     }
 }

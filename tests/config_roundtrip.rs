@@ -20,9 +20,10 @@ fn value_for(leaf: &str, x: u64) -> Json {
         }
         "suppression" => Json::Str(["lisp", "oracle"][x as usize % 2].into()),
         // u64-typed leaves (stack_top, delays) keep full range; the
-        // usize/u32 leaves truncate on apply, so bound the probe to stay
-        // representable (round-tripping is about serialisation, not
-        // machine buildability).
+        // u32 leaves reject values they cannot hold (see
+        // `out_of_range_leaves_are_rejected_not_truncated`), so bound the
+        // probe to stay representable (round-tripping is about
+        // serialisation, not machine buildability).
         "stack_top" => Json::Num(x.to_string()),
         _ => Json::Num((x % (1 << 31)).to_string()),
     }
@@ -83,4 +84,26 @@ fn enum_typos_list_the_choices() {
     assert!(err.contains("opcode_depth"), "{err}");
     let err = SimConfig::from_json(r#"{"integration":{"reverse":"stack"}}"#).unwrap_err();
     assert!(err.contains("stack_pointer"), "{err}");
+}
+
+#[test]
+fn out_of_range_leaves_are_rejected_not_truncated() {
+    // 2^32 + k would truncate to k in a u32; it must be refused, naming
+    // the key and the value, and leave the configuration usable.
+    for (doc, key, value) in [
+        (r#"{"integration":{"gen_bits":4294967300}}"#, "gen_bits", "4294967300"),
+        (r#"{"integration":{"count_bits":4294967297}}"#, "count_bits", "4294967297"),
+        (r#"{"predictor":{"history_bits":4294967309}}"#, "history_bits", "4294967309"),
+    ] {
+        let err = SimConfig::from_json(doc).unwrap_err();
+        assert!(err.contains(&format!("key `{key}`")), "{doc}: {err}");
+        assert!(err.contains(value), "{doc} names the value: {err}");
+        assert!(err.contains("out of range"), "{doc}: {err}");
+        let mut cfg = SimConfig::default();
+        let err = cfg.set_path(key, &Json::Num(value.into())).unwrap_err();
+        assert!(err.contains(&format!("key `{key}`")), "set_path {key}: {err}");
+    }
+    // A value that fits still applies.
+    let cfg = SimConfig::from_json(r#"{"integration":{"gen_bits":4294967295}}"#).unwrap();
+    assert_eq!(cfg.integration.gen_bits, u32::MAX);
 }
